@@ -2,7 +2,8 @@
 # CI entry point: configure, build with warnings-as-errors, run the test
 # tier, then the benchmark regression gate.
 #
-#   CHECK_TIER=fast (default)  pre-merge: fast-labeled ctest tier + the
+#   CHECK_TIER=fast (default)  pre-merge: fast-labeled ctest tier, a build
+#                              (no run) of the perfbench harness, and the
 #                              sweep-bench and service-bench gates
 #   CHECK_TIER=full            nightly: full ctest suite, TSan and
 #                              ASan+fault-injection (chaos/disk-fault)
@@ -30,6 +31,13 @@ fi
 cmake -B "$BUILD_DIR" -S . "${GENERATOR_FLAGS[@]}" \
   -DCMAKE_BUILD_TYPE=Release -DCHECKMATE_WERROR=ON
 cmake --build "$BUILD_DIR" -j
+
+# The repository benchmark (perfbench/) is a standalone CMake package that
+# compiles src/ itself: configure and build it (without running it) so a
+# src/ API change that breaks the harness fails here, not at bench time.
+cmake -S perfbench -B "$BUILD_DIR/perfbench" "${GENERATOR_FLAGS[@]}" \
+  -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD_DIR/perfbench" -j
 
 if [ "$CHECK_TIER" = "full" ]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"

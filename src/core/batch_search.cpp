@@ -6,7 +6,6 @@
 #include "baselines/baselines.h"
 #include "core/ilp_builder.h"
 #include "core/rounding.h"
-#include "milp/milp.h"
 #include "service/plan_service.h"
 
 namespace checkmate {
@@ -76,14 +75,13 @@ MaxBatchResult max_batch_size(const ProblemFactory& factory,
 }
 
 FeasibilityProbe make_ilp_probe(double budget_bytes,
-                                double per_probe_time_limit_sec,
-                                const milp::MilpOptions& base_milp) {
+                                double per_probe_time_limit_sec) {
   // One plan service per probe: each bisection step is a distinct problem
   // (the batch scales the memories), but repeated probes of one batch size
   // -- or a later re-bracketing pass -- hit the cached formulation. The
   // service is shared across copies of the returned std::function.
   auto service = std::make_shared<service::PlanService>();
-  return [budget_bytes, per_probe_time_limit_sec, base_milp,
+  return [budget_bytes, per_probe_time_limit_sec,
           service](const RematProblem& p) {
     // Cheap necessary condition: the structural working-set floor must fit.
     if (p.memory_floor() > budget_bytes) return false;
@@ -114,15 +112,6 @@ FeasibilityProbe make_ilp_probe(double budget_bytes,
     opts.time_limit_sec = per_probe_time_limit_sec;
     opts.stop_at_first_incumbent = true;
     opts.cost_cap = cost_cap;
-    opts.presolve = base_milp.presolve;
-    opts.pseudocost_branching = base_milp.pseudocost_branching;
-    opts.node_selection = base_milp.node_selection;
-    opts.relative_gap = base_milp.relative_gap;
-    if (base_milp.max_lp_iterations !=
-        std::numeric_limits<int64_t>::max())
-      opts.max_lp_iterations = base_milp.max_lp_iterations;
-    if (base_milp.max_nodes != milp::MilpOptions{}.max_nodes)
-      opts.max_nodes = base_milp.max_nodes;
     const ScheduleResult res = service->plan(p, budget_bytes, opts);
     return res.feasible;
   };

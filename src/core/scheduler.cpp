@@ -52,26 +52,17 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   mopts.relative_gap = options.relative_gap;
   mopts.branch_priority = form.branch_priorities();
   mopts.stop_at_first_incumbent = options.stop_at_first_incumbent;
-  mopts.presolve = options.presolve && reuse.presolved_lp == nullptr;
+  mopts.presolve = reuse.presolved_lp == nullptr;
   mopts.pseudocost_branching = options.pseudocost_branching;
-  mopts.node_selection = options.node_selection;
-  mopts.root_reduced_cost_fixing = options.root_reduced_cost_fixing;
-  mopts.simplex.steepest_edge_pricing = options.steepest_edge_pricing;
-  mopts.simplex.bound_flip_ratio_test = options.bound_flip_ratio_test;
-  mopts.simplex.forrest_tomlin = options.lp_ft_update;
+  mopts.reliability_branching = options.reliability_branching;
   mopts.simplex.scaling = options.lp_scaling;
   mopts.gomory_cuts = options.gomory_cuts;
   // Branch & cut: hand the solver the formulation's knapsack view of the
   // memory rows. The structure outlives the solve (stack scope below) and
   // survives presolve and set_budget rebinds (capacities are read from the
   // live U upper bounds at separation time).
-  milp::FormulationStructure cut_structure;
-  mopts.cut_separation = options.cut_separation;
-  mopts.reliability_branching = options.reliability_branching;
-  if (options.cut_separation) {
-    cut_structure = form.cut_structure();
-    mopts.cut_structure = &cut_structure;
-  }
+  const milp::FormulationStructure cut_structure = form.cut_structure();
+  mopts.cut_structure = &cut_structure;
   if (options.max_lp_iterations > 0)
     mopts.max_lp_iterations = options.max_lp_iterations;
   if (options.max_nodes > 0) mopts.max_nodes = options.max_nodes;
@@ -165,7 +156,6 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   res.lp_refactorizations = mres.lp_refactorizations;
   res.lp_ft_updates = mres.lp_ft_updates;
   res.lp_ft_growth_refactors = mres.lp_ft_growth_refactors;
-  res.lp_eta_pivots = mres.lp_eta_pivots;
   res.lp_pricing_resets = mres.lp_pricing_resets;
   res.seconds = mres.seconds;
   res.best_bound = form.unscale_cost(mres.best_bound);
@@ -205,7 +195,6 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   eval.lp_refactorizations = mres.lp_refactorizations;
   eval.lp_ft_updates = mres.lp_ft_updates;
   eval.lp_ft_growth_refactors = mres.lp_ft_growth_refactors;
-  eval.lp_eta_pivots = mres.lp_eta_pivots;
   eval.lp_pricing_resets = mres.lp_pricing_resets;
   eval.seconds = mres.seconds;
   eval.best_bound = res.best_bound;

@@ -26,30 +26,19 @@ struct IlpSolveOptions {
   // retention-interval one (see IlpFormulationKind in core/ilp_builder.h).
   IlpFormulationKind formulation = IlpFormulationKind::kDense;
   bool stop_at_first_incumbent = false;
-  // Solver machinery knobs (threaded straight into milp::MilpOptions; the
-  // defaults are the overhauled fast path, the ablation benches flip them).
-  bool presolve = true;
+  // Solver knobs whose off side wins on some bench instance; the defaults
+  // are the shipped configuration and the ablation benches flip each one
+  // off. Pseudocost branching and reliability branching (strong-branch
+  // probes until pseudocosts are trustworthy) go to milp::MilpOptions,
+  // Curtis-Reid equilibration at engine load to lp::SimplexOptions, and
+  // Gomory mixed-integer cuts from the root tableau ride alongside the
+  // always-on cover/clique separation over the memory rows (the
+  // formulation hands the solver a knapsack view via
+  // IlpFormulation::cut_structure).
   bool pseudocost_branching = true;
-  milp::NodeSelection node_selection = milp::NodeSelection::kHybrid;
-  // LP-engine hot-path knobs (threaded into lp::SimplexOptions) and root
-  // reduced-cost fixing; defaults are the shipped fast path, the ablation
-  // benches flip them off individually.
-  bool steepest_edge_pricing = true;
-  bool bound_flip_ratio_test = true;
-  bool root_reduced_cost_fixing = true;
-  // Second-decade LP-engine knobs (PR 10): Forrest-Tomlin basis updates
-  // (off = product-form eta accumulation), Curtis-Reid equilibration at
-  // engine load, and Gomory mixed-integer cuts from the root tableau.
-  bool lp_ft_update = true;
+  bool reliability_branching = true;
   bool lp_scaling = true;
   bool gomory_cuts = true;
-  // Branch & cut: Checkmate-structural cover/clique cut separation over
-  // the memory rows (the formulation hands the solver a knapsack view via
-  // IlpFormulation::cut_structure) and reliability branching (strong-
-  // branch probes until pseudocosts are trustworthy). Both deterministic
-  // for any num_threads; the ablation benches flip them off individually.
-  bool cut_separation = true;
-  bool reliability_branching = true;
   // Deterministic work limits: stop after this many cumulative simplex
   // iterations / explored nodes (0 = unlimited). Unlike the wall-clock
   // limit these make truncated runs machine-independent.
@@ -112,7 +101,6 @@ struct ScheduleResult {
   int64_t lp_refactorizations = 0;
   int64_t lp_ft_updates = 0;
   int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_eta_pivots = 0;
   int64_t lp_pricing_resets = 0;
   double seconds = 0.0;
 

@@ -213,9 +213,7 @@ std::shared_ptr<CacheEntry> PlanService::acquire(
 }
 
 void PlanService::ensure_presolve(CacheEntry& entry,
-                                  double reference_budget_bytes,
-                                  const IlpSolveOptions& options) {
-  if (!options.presolve || !opts_.reuse_presolve) return;
+                                  double reference_budget_bytes) {
   // Artifacts presolved at budget B are sound for any budget <= B (the
   // clamp only shrinks the feasible set); only a larger budget forces a
   // fresh pass.
@@ -262,7 +260,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   // feasible here iff its simulated peak fits this budget. (The chain is
   // only maintained for the partitioned form; unpartitioned queries solve
   // objective-only and return no schedule.)
-  const bool chain_fits = opts_.chain_warm_starts && options.partitioned &&
+  const bool chain_fits = options.partitioned &&
                           entry.chain_solution.has_value() &&
                           entry.chain_peak_bytes <= budget_bytes;
 
@@ -302,7 +300,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
     std::lock_guard lock(stats_mu_);
     ++stats_.budget_rebinds;
   }
-  ensure_presolve(entry, budget_bytes, options);
+  ensure_presolve(entry, budget_bytes);
 
   IlpSolveReuse reuse;
   if (chain_fits) {
@@ -317,8 +315,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   // its proven bound is still a valid lower bound -- branch & bound may
   // stop as soon as any incumbent lands within *this query's* gap of it,
   // instead of re-proving the bound through the dual plateau.
-  if (opts_.chain_warm_starts && options.partitioned &&
-      entry.chain_solution.has_value() &&
+  if (options.partitioned && entry.chain_solution.has_value() &&
       budget_bytes <= entry.chain_budget_bytes)
     reuse.known_lower_bound_cost = entry.chain_best_bound;
   // An externally proven bound (a store-carried staircase dual bound) is
@@ -326,36 +323,37 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   reuse.known_lower_bound_cost =
       std::max(reuse.known_lower_bound_cost, known_lower_bound);
 
+  // ensure_presolve above left artifacts covering this budget.
+  if (entry.presolve_stats.proven_infeasible) {
+    // Proven infeasible at a budget >= this one; the subset relation
+    // settles every smaller budget too.
+    return infeasible_result("presolve proved the instance infeasible");
+  }
   lp::LinearProgram clamped;
-  if (options.presolve && opts_.reuse_presolve && entry.has_presolve) {
-    if (entry.presolve_stats.proven_infeasible) {
-      // Proven infeasible at a budget >= this one; the subset relation
-      // settles every smaller budget too.
+  if (budget_bytes >= entry.presolve_budget_bytes) {
+    // Presolved at exactly this budget: the clamp would be a no-op
+    // (presolve only ever tightens U below the budget bound), so hand the
+    // cached artifact over without copying. The entry mutex is held for
+    // the whole solve.
+    reuse.presolved_lp = &entry.presolved;
+  } else {
+    clamped = entry.presolved;
+    if (!milp::clamp_upper_bounds(clamped, entry.form->u_var_indices(),
+                                  entry.form->scale_budget(budget_bytes)))
+      return infeasible_result(
+          "budget contradicts presolve-derived lower bounds");
+    // Re-propagate on the clamped artifact: the shared pass's row removals
+    // and fixings carry over, and one cheap incremental pass over the
+    // already-reduced LP recovers the tight-budget fixings a from-scratch
+    // presolve would find (a tighter U bound cascades into S/R fixings the
+    // loose-budget pass could not make).
+    milp::PresolveResult pre = milp::presolve(clamped);
+    if (pre.stats.proven_infeasible)
       return infeasible_result("presolve proved the instance infeasible");
-    }
-    if (budget_bytes >= entry.presolve_budget_bytes) {
-      // Presolved at exactly this budget: the clamp would be a no-op
-      // (presolve only ever tightens U below the budget bound), so hand
-      // the cached artifact over without copying. The entry mutex is held
-      // for the whole solve.
-      reuse.presolved_lp = &entry.presolved;
-    } else {
-      clamped = entry.presolved;
-      if (!milp::clamp_upper_bounds(clamped, entry.form->u_var_indices(),
-                                    entry.form->scale_budget(budget_bytes)))
-        return infeasible_result(
-            "budget contradicts presolve-derived lower bounds");
-      // Re-propagate on the clamped artifact: the shared pass's row
-      // removals and fixings carry over, and one cheap incremental pass
-      // over the already-reduced LP recovers the tight-budget fixings a
-      // from-scratch presolve would find (a tighter U bound cascades into
-      // S/R fixings the loose-budget pass could not make).
-      milp::PresolveResult pre = milp::presolve(clamped);
-      if (pre.stats.proven_infeasible)
-        return infeasible_result("presolve proved the instance infeasible");
-      clamped = std::move(pre.lp);
-      reuse.presolved_lp = &clamped;
-    }
+    clamped = std::move(pre.lp);
+    reuse.presolved_lp = &clamped;
+  }
+  {
     std::lock_guard lock(stats_mu_);
     ++stats_.presolve_reuses;
   }
@@ -366,13 +364,12 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
     stats_.lp_refactorizations += res.lp_refactorizations;
     stats_.lp_ft_updates += res.lp_ft_updates;
     stats_.lp_ft_growth_refactors += res.lp_ft_growth_refactors;
-    stats_.lp_eta_pivots += res.lp_eta_pivots;
     stats_.lp_pricing_resets += res.lp_pricing_resets;
     stats_.gomory_cuts += res.gomory_cuts;
     stats_.cuts_removed += res.cuts_removed;
   }
 
-  if (opts_.chain_warm_starts && options.partitioned && res.feasible &&
+  if (options.partitioned && res.feasible &&
       res.milp_status == milp::MilpStatus::kOptimal) {
     entry.chain_solution = res.solution;
     entry.chain_budget_bytes = budget_bytes;
@@ -433,7 +430,7 @@ std::vector<ScheduleResult> PlanService::sweep(
   std::lock_guard lock(entry->mu);
   // Presolve once at the sweep's largest budget; every point below reuses
   // the artifacts through the U-bound clamp.
-  ensure_presolve(*entry, max_budget, options);
+  ensure_presolve(*entry, max_budget);
   // Sweep points share one cache entry and run serially, so each solve
   // gets the full budget as tree workers. A finite query deadline is
   // re-apportioned before every point (remaining / points left).
@@ -495,7 +492,7 @@ std::vector<ScheduleResult> PlanService::plan_many(
       auto entry = acquire(*queries[order.front()].problem, g.max_budget,
                            queries[order.front()].options);
       std::lock_guard lock(entry->mu);
-      ensure_presolve(*entry, g.max_budget, queries[order.front()].options);
+      ensure_presolve(*entry, g.max_budget);
       // Each query keeps its own deadline; a finite one is clamped to its
       // share of what remains across this group's unfinished points.
       size_t left = order.size();
@@ -561,9 +558,6 @@ PlanOutcome PlanService::plan_robust(const RematProblem& problem,
     out.why_degraded = "budget below structural memory floor";
     return out;
   }
-
-  if (!opts_.single_flight)
-    return serve_or_solve(problem, budget_bytes, options);
 
   // Single-flight admission: identical concurrent queries coalesce onto
   // one solve. Identity is the full request content -- canonical problem

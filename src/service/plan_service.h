@@ -91,16 +91,10 @@ struct PlanServiceOptions {
   int num_workers = 0;
   // Cached formulations (LRU beyond this).
   size_t max_cache_entries = 16;
-  // Cache presolve artifacts across budgets (clamp instead of re-run).
-  bool reuse_presolve = true;
-  // Chain warm starts across budgets of the same problem.
-  bool chain_warm_starts = true;
   // Directory of the disk-backed plan store; empty disables persistence.
   // Proven optima from plan_robust are written crash-safely and served --
   // content-verified and simulator-validated -- across restarts.
   std::string store_dir;
-  // Coalesce concurrent identical plan_robust queries onto one solve.
-  bool single_flight = true;
   // Cap on concurrent plan_robust MILP ladders; overflow sheds to the
   // heuristic fallback (why_degraded names the overload). 0 = unbounded.
   size_t max_inflight_solves = 0;
@@ -127,14 +121,12 @@ struct ServiceStats {
   int64_t shed_overload = 0;         // queries shed to the heuristic rung
   // Cumulative LP-engine observability over every MILP solve the service
   // ran (ScheduleResult pass-throughs summed): basis refactorizations,
-  // Forrest-Tomlin updates, spike/eta-growth-forced refactorizations,
-  // product-form eta pivots (nonzero only with FT disabled), partial-
-  // pricing candidate-list rebuilds, and Gomory cut rows added / cut rows
-  // later deleted by in-LP aging.
+  // Forrest-Tomlin updates, refactorizations forced by FT fill growth or
+  // an unstable update, partial-pricing candidate-list rebuilds, and
+  // Gomory cut rows added / cut rows later deleted by in-LP aging.
   int64_t lp_refactorizations = 0;
   int64_t lp_ft_updates = 0;
   int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_eta_pivots = 0;
   int64_t lp_pricing_resets = 0;
   int64_t gomory_cuts = 0;
   int64_t cuts_removed = 0;
@@ -239,8 +231,7 @@ class PlanService {
                                       const IlpSolveOptions& options);
   // (Re)runs presolve at reference_budget_bytes when the cached artifacts
   // do not already cover it. Entry mutex must be held.
-  void ensure_presolve(CacheEntry& entry, double reference_budget_bytes,
-                       const IlpSolveOptions& options);
+  void ensure_presolve(CacheEntry& entry, double reference_budget_bytes);
   // Answers one query against a locked entry. `tree_threads` is this
   // query's share of the service thread budget; it only applies when the
   // query left IlpSolveOptions::num_threads at 0 (auto).

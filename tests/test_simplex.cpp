@@ -210,8 +210,9 @@ TEST(DualSimplex, CloneResolvesToIdenticalObjectiveAndBasis) {
 
   // The clone adopts the same optimal basis and re-solves to the same
   // optimum. (Not bitwise vs the original: the clone refactorizes fresh
-  // while the original accumulated an eta file, so the numerics differ at
-  // the last ulp -- what IS bitwise is clone-vs-clone, below.)
+  // while the original accumulated Forrest-Tomlin updates, so the
+  // numerics differ at the last ulp -- what IS bitwise is
+  // clone-vs-clone, below.)
   DualSimplex copy = original.clone();
   const LpResult re = copy.solve();
   ASSERT_EQ(re.status, LpStatus::kOptimal);
@@ -612,10 +613,10 @@ TEST(DualSimplex, ModeratelyLargeStructuredLp) {
 // ---------------------------------------------------------------------
 // Forrest-Tomlin updates and Curtis-Reid scaling (the PR-10 engine work).
 
-TEST(DualSimplex, ForrestTomlinMatchesEtaAccumulation) {
-  // The FT update path must reach the same optimum as the product-form
-  // eta path on a pivot-heavy instance, and the observability counters
-  // must show which path actually ran.
+TEST(DualSimplex, ForrestTomlinMatchesDenseReference) {
+  // A pivot-heavy instance: the Forrest-Tomlin update path must reach the
+  // dense reference's optimum, and the observability counters must show
+  // that updates actually ran.
   LinearProgram lp;
   const int n = 200;
   for (int j = 0; j < n; ++j) lp.add_var(0.0, 10.0, 1.0 + (j % 3));
@@ -625,32 +626,25 @@ TEST(DualSimplex, ForrestTomlinMatchesEtaAccumulation) {
     if (r + 7 < n) t.emplace_back(r + 7, 0.25);
     lp.add_ge(t, 2.0 + (r % 3));
   }
-  SimplexOptions ft_on;
-  ft_on.forrest_tomlin = true;
-  SimplexOptions ft_off;
-  ft_off.forrest_tomlin = false;
-  DualSimplex a(lp, ft_on);
-  DualSimplex b(lp, ft_off);
-  auto ra = a.solve();
-  auto rb = b.solve();
-  ASSERT_EQ(ra.status, LpStatus::kOptimal);
-  ASSERT_EQ(rb.status, LpStatus::kOptimal);
-  EXPECT_NEAR(ra.objective, rb.objective, 1e-6);
-  EXPECT_LE(lp.max_violation(ra.x), 1e-6);
-  EXPECT_GT(a.stats().ft_updates, 0);
-  EXPECT_EQ(a.stats().eta_pivots, 0);
-  EXPECT_EQ(b.stats().ft_updates, 0);
-  EXPECT_GT(b.stats().eta_pivots, 0);
+  DualSimplex engine(lp);
+  auto res = engine.solve();
+  auto dense = solve_dense_reference(lp);
+  ASSERT_EQ(res.status, LpStatus::kOptimal);
+  ASSERT_EQ(dense.status, LpStatus::kOptimal);
+  EXPECT_NEAR(res.objective, dense.objective, 1e-6);
+  EXPECT_LE(lp.max_violation(res.x), 1e-6);
+  EXPECT_GT(engine.stats().ft_updates, 0);
 }
 
 TEST(DualSimplex, ForrestTomlinAgreesOnRandomCorpus) {
-  // Status and objective agreement between the two basis-update paths
-  // across a random corpus (same generator family as the dense-reference
-  // corpus, skewed a little larger so updates actually accumulate).
+  // Status and objective agreement with the dense reference across a
+  // random corpus (same generator family as the dense-reference corpus,
+  // skewed a little larger so updates actually accumulate).
   std::mt19937 rng(41);
   std::uniform_real_distribution<double> coef(-3.0, 3.0);
   std::uniform_real_distribution<double> cost(-2.0, 2.0);
   int optimal_count = 0;
+  int64_t ft_updates = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const int n = 4 + static_cast<int>(rng() % 12);
     const int m = 4 + static_cast<int>(rng() % 12);
@@ -670,19 +664,19 @@ TEST(DualSimplex, ForrestTomlinAgreesOnRandomCorpus) {
         lp.add_ge(t, rhs);
       }
     }
-    SimplexOptions ft_on;
-    ft_on.forrest_tomlin = true;
-    SimplexOptions ft_off;
-    ft_off.forrest_tomlin = false;
-    auto ra = solve_lp(lp, ft_on);
-    auto rb = solve_lp(lp, ft_off);
+    DualSimplex engine(lp);
+    auto ra = engine.solve();
+    auto rb = solve_dense_reference(lp);
+    ft_updates += engine.stats().ft_updates;
     ASSERT_EQ(ra.status, rb.status) << "trial " << trial;
     if (ra.status == LpStatus::kOptimal) {
       ++optimal_count;
       EXPECT_NEAR(ra.objective, rb.objective, 1e-5) << "trial " << trial;
+      EXPECT_LE(lp.max_violation(ra.x), 1e-6) << "trial " << trial;
     }
   }
   EXPECT_GT(optimal_count, 10);
+  EXPECT_GT(ft_updates, 0);
 }
 
 TEST(DualSimplex, ScalingSolvesBadlyRangedLp) {
