@@ -279,9 +279,10 @@ std::vector<JsonInstance> json_instances() {
 }
 
 // Deep instances (>= 200 stages) for the retention-interval backend. The
-// dense Problem 9 encoding carries >100k rows here and cannot finish even
-// the root relaxation within the 60s limit; the interval encoding proves
-// optimality. Only the *_big configs run these.
+// dense Problem 9 encoding carries >100k rows here, and its root relaxation
+// alone outlasts kBigMaxLpIterations; the interval encoding proves
+// unit_chain_480_tight optimal well inside it. Only the *_big configs run
+// these.
 std::vector<JsonInstance> big_instances() {
   std::vector<JsonInstance> out;
   {
@@ -302,6 +303,16 @@ std::vector<JsonInstance> big_instances() {
   return out;
 }
 
+// The deep rows stop at this deterministic work limit instead of a wall
+// clock, so their nodes and iterations are the same on every host. It sits
+// above the 960 iterations interval_big needs to prove unit_chain_480_tight,
+// and keeps the slowest row (dense_big there, ~40 s on a 4-core container)
+// far inside the hang guard.
+constexpr int64_t kBigMaxLpIterations = 2500;
+// Wall-clock limit of the deep rows: only a hang guard, never the limit
+// that stops a healthy run.
+constexpr double kBigHangGuardSec = 600.0;
+
 int run_json_suite(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
@@ -317,7 +328,8 @@ int run_json_suite(const std::string& path) {
       for (const SolverConfig& cfg : kConfigs) {
         if (cfg.big != big) continue;
         IlpSolveOptions opts;
-        opts.time_limit_sec = 60.0;
+        opts.time_limit_sec = big ? kBigHangGuardSec : 60.0;
+        if (big) opts.max_lp_iterations = kBigMaxLpIterations;
         // The dual plateau below the optimum makes 1e-4 unprovable in
         // minutes on the real models; 5e-4 separates the configurations.
         opts.relative_gap = 5e-4;

@@ -1,12 +1,9 @@
 #include "core/batch_search.h"
 
 #include <map>
-#include <memory>
 
 #include "baselines/baselines.h"
-#include "core/ilp_builder.h"
-#include "core/rounding.h"
-#include "service/plan_service.h"
+#include "core/scheduler.h"
 
 namespace checkmate {
 
@@ -76,13 +73,10 @@ MaxBatchResult max_batch_size(const ProblemFactory& factory,
 
 FeasibilityProbe make_ilp_probe(double budget_bytes,
                                 double per_probe_time_limit_sec) {
-  // One plan service per probe: each bisection step is a distinct problem
-  // (the batch scales the memories), but repeated probes of one batch size
-  // -- or a later re-bracketing pass -- hit the cached formulation. The
-  // service is shared across copies of the returned std::function.
-  auto service = std::make_shared<service::PlanService>();
-  return [budget_bytes, per_probe_time_limit_sec,
-          service](const RematProblem& p) {
+  // A direct MILP solve per probe: each bisection step is a distinct
+  // problem (the batch scales the memories) and max_batch_size memoizes
+  // probes, so there is no formulation to reuse across calls.
+  return [budget_bytes, per_probe_time_limit_sec](const RematProblem& p) {
     // Cheap necessary condition: the structural working-set floor must fit.
     if (p.memory_floor() > budget_bytes) return false;
     const double cost_cap = 2.0 * p.forward_cost() + p.backward_cost();
@@ -106,14 +100,13 @@ FeasibilityProbe make_ilp_probe(double budget_bytes,
         return true;
     }
 
-    // MILP feasibility through the plan service (cost cap keyed into the
-    // formulation cache; first-incumbent mode).
+    // MILP feasibility with the cost cap in the formulation, in
+    // first-incumbent mode.
     IlpSolveOptions opts;
     opts.time_limit_sec = per_probe_time_limit_sec;
     opts.stop_at_first_incumbent = true;
     opts.cost_cap = cost_cap;
-    const ScheduleResult res = service->plan(p, budget_bytes, opts);
-    return res.feasible;
+    return Scheduler(p).solve_optimal_ilp(budget_bytes, opts).feasible;
   };
 }
 

@@ -61,9 +61,7 @@ MaxBatchResult max_batch_size(const ProblemFactory& factory,
 // Probe backed by the Checkmate MILP in first-incumbent (feasibility) mode,
 // with the Eq. 10 cost cap. `budget_bytes` matches MaxBatchOptions. Every
 // other solver setting is the IlpSolveOptions default -- the same
-// configuration Scheduler::solve_optimal_ilp ships. Solves are routed
-// through a service::PlanService shared by all copies of the returned
-// probe, so re-probed instances hit the formulation cache.
+// configuration Scheduler::solve_optimal_ilp ships, which runs each probe.
 FeasibilityProbe make_ilp_probe(double budget_bytes,
                                 double per_probe_time_limit_sec = 30.0);
 

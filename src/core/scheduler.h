@@ -164,16 +164,6 @@ class Scheduler {
   ScheduleResult solve_optimal_ilp(double budget_bytes,
                                    const IlpSolveOptions& options = {}) const;
 
-  // Figure 5 workload: optimal plans for many budgets on one model. Routed
-  // through a plan service (src/service/plan_service.h) so the formulation
-  // and presolve artifacts are built once and each point warm-starts from
-  // its neighbor; results come back in the caller's budget order and every
-  // point's objective is identical to an independent solve_optimal_ilp
-  // call. Defined in src/service/plan_service.cpp.
-  std::vector<ScheduleResult> solve_budget_sweep(
-      const std::vector<double>& budgets,
-      const IlpSolveOptions& options = {}) const;
-
   // Section 5: LP relaxation + two-phase rounding.
   ScheduleResult solve_lp_rounding(double budget_bytes,
                                    const ApproxOptions& options = {}) const;

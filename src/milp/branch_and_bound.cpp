@@ -26,7 +26,7 @@ using Clock = std::chrono::steady_clock;
 // starves the search of incumbents and was measured pathological on
 // vgg16_mid_budget (64: 13694 nodes; 256: 4091 nodes, 3x less wall time;
 // dives there never exceed 256, so larger caps change nothing). The cap is
-// a fixed constant -- like epoch_width it is part of the deterministic
+// a fixed constant -- like kEpochWidth it is part of the deterministic
 // search semantics and must not depend on the worker count.
 constexpr int64_t kMaxDiveNodes = 256;
 
@@ -191,8 +191,7 @@ class EpochSearch {
         opt_(options),
         heuristic_(heuristic),
         start_(Clock::now()) {
-    epoch_width_ = std::max(1, opt_.epoch_width);
-    num_workers_ = resolve_tree_threads(opt_);
+    num_threads_ = resolve_tree_threads(opt_);
     // The working LP needs stable row identities (cut-row GC remaps basis
     // snapshots by id) -- synthesize them when the caller's LP doesn't
     // carry any (e.g. the presolve output builds rows directly). And the
@@ -211,7 +210,7 @@ class EpochSearch {
       if (lp.is_integer[j]) int_vars_.push_back(j);
     pc_.init(lp.num_vars());
     fix_done_.assign(static_cast<size_t>(lp.num_vars()), 0);
-    workers_.resize(static_cast<size_t>(num_workers_));
+    workers_.resize(static_cast<size_t>(num_threads_));
     // First-incumbent (feasibility-probe) searches stop at the first
     // feasible point: cut rounds and strong-branch probes pay off through
     // bound pruning, which such a search never reaches, so both default
@@ -394,7 +393,7 @@ class EpochSearch {
         slots.push_back(OpenNode{});  // the root: empty path, -inf bound
       } else {
         const double thresh = prune_threshold();
-        while (static_cast<int>(slots.size()) < epoch_width_ &&
+        while (static_cast<int>(slots.size()) < kEpochWidth &&
                !open_.empty()) {
           OpenNode n = pop_open();
           if (n.bound >= thresh) continue;  // pruned on pop, not counted
@@ -1018,6 +1017,12 @@ class EpochSearch {
           if (fit < static_cast<double>(cap))
             cap = std::max(256, static_cast<int>(fit));
         }
+        // The deterministic work limit binds inside a node LP as well: one
+        // long solve (a deep model's root) must not run past the limit to
+        // wherever the wall clock cuts it, which would depend on the host.
+        const int64_t work_left =
+            opt_.max_lp_iterations - iters_base - out.lp_iterations;
+        if (work_left < cap) cap = static_cast<int>(work_left);
         eng.set_iteration_limit(cap);
       }
       // Dual objective cutoff: a node whose relaxation bound crosses the
@@ -1224,7 +1229,7 @@ class EpochSearch {
     results.clear();
     results.resize(slots.size());
     const int want =
-        std::min<int>(num_workers_, static_cast<int>(slots.size()));
+        std::min<int>(num_threads_, static_cast<int>(slots.size()));
     if (want <= 1) {
       for (size_t i = 0; i < slots.size(); ++i)
         results[i] = guarded_slot(0, slots[i]);
@@ -1290,8 +1295,7 @@ class EpochSearch {
   MilpOptions opt_;
   const IncumbentHeuristic& heuristic_;
   Clock::time_point start_;
-  int epoch_width_ = 4;
-  int num_workers_ = 1;
+  int num_threads_ = 1;
   std::vector<int> int_vars_;
 
   // Committed shared state: frozen during an epoch's solve phase, mutated
@@ -1350,7 +1354,7 @@ int resolve_tree_threads(const MilpOptions& options) {
     const unsigned hw = std::thread::hardware_concurrency();
     n = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  return std::clamp(n, 1, std::max(1, options.epoch_width));
+  return std::clamp(n, 1, kEpochWidth);
 }
 
 MilpResult branch_and_bound(const lp::LinearProgram& lp,

@@ -1,7 +1,7 @@
 // Deterministic parallel branch & bound: epoch-lockstep tree search.
 //
 // The search advances in epochs. Every epoch the shared node queue
-// deterministically pops up to MilpOptions::epoch_width nodes (best-bound
+// deterministically pops up to kEpochWidth nodes (best-bound
 // order with a creation-sequence tie-break), the epoch's slots are solved
 // concurrently by worker threads -- each worker owns a DualSimplex engine
 // and rebuilds a slot's state from the parent's BasisSnapshot plus the
@@ -17,7 +17,7 @@
 // so the explored tree, node counts, incumbents, and the deterministic
 // work-limit semantics (max_nodes / max_lp_iterations) are bit-identical
 // for ANY worker count. num_threads only divides an epoch's slots among
-// engines; epoch_width (fixed, default 4) is what defines the tree.
+// engines; the fixed epoch width is what defines the tree.
 //
 // Inside a slot the worker dives depth-first from the popped node (capped
 // at kMaxDiveNodes per slot so epochs stay balanced), which preserves the
@@ -31,8 +31,14 @@
 
 namespace checkmate::milp {
 
-// Resolves MilpOptions::num_threads (0 = auto) against the hardware and the
-// epoch width. Always >= 1.
+// Nodes deterministically popped from the shared queue per lockstep epoch.
+// Unlike num_threads this IS part of the search semantics: a different
+// width explores a different tree (a wider epoch expands more frontier
+// nodes against the same epoch-start incumbent), so it is a constant.
+inline constexpr int kEpochWidth = 4;
+
+// Resolves MilpOptions::num_threads (0 = auto) against the hardware and
+// kEpochWidth. Always >= 1.
 int resolve_tree_threads(const MilpOptions& options);
 
 // Runs the epoch-lockstep search on `lp` directly (no presolve wrapping --

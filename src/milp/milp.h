@@ -52,28 +52,23 @@ struct MilpOptions {
   double integrality_tol = 1e-6;
   int64_t max_nodes = 10'000'000;
   // Deterministic work limit: stop once the cumulative simplex iteration
-  // count crosses this value. Unlike the wall-clock limit, runs with the
-  // same limit explore identical trees on every machine.
+  // count crosses this value; no node LP pivots past what is left of it.
+  // Unlike the wall-clock limit, runs with the same limit explore
+  // identical trees on every machine.
   int64_t max_lp_iterations = std::numeric_limits<int64_t>::max();
   // Run the presolve pass before the search (see milp/presolve.h).
   bool presolve = true;
   // Worker threads for the in-solve tree search (0 = one per hardware
-  // thread, clamped to epoch_width). The search is an epoch-lockstep
+  // thread, clamped to milp::kEpochWidth). The search is an epoch-lockstep
   // parallel branch & bound (milp/branch_and_bound.h): the explored tree,
   // node counts, incumbents and the deterministic work-limit semantics
   // (max_nodes, max_lp_iterations) are bit-identical for EVERY value of
   // num_threads -- only wall-clock time changes. The one exception is
   // wall-clock truncation itself: a run that hits time_limit_sec stops at
   // a machine-dependent point, exactly as in the serial solver. Values
-  // above epoch_width buy nothing (an epoch never has more concurrent
+  // above kEpochWidth buy nothing (an epoch never has more concurrent
   // node solves than its width).
   int num_threads = 0;
-  // Nodes deterministically popped from the shared queue per lockstep
-  // epoch. Unlike num_threads this IS part of the search semantics:
-  // changing the width changes which nodes are explored (a wider epoch
-  // expands more frontier nodes against the same epoch-start incumbent).
-  // Values < 1 are clamped to 1.
-  int epoch_width = 4;
   // Pseudocost-driven branching; disable to fall back to most-fractional.
   bool pseudocost_branching = true;
   // ---- Branch & cut. Knapsack (cover/clique) separation needs a

@@ -7,7 +7,6 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 
 #include "baselines/baselines.h"
 #include "store/plan_store.h"
@@ -192,26 +191,6 @@ int PlanService::thread_budget() const {
 
 PlanService::~PlanService() = default;
 
-std::shared_ptr<CacheEntry> PlanService::acquire(
-    const RematProblem& problem, double reference_budget_bytes,
-    const IlpSolveOptions& options) {
-  IlpBuildOptions build;
-  build.budget_bytes = reference_budget_bytes;
-  build.partitioned = options.partitioned;
-  build.eliminate_diag_free = options.eliminate_diag_free;
-  build.formulation = options.formulation;
-  build.cost_cap = options.cost_cap;
-  bool hit = false;
-  int64_t evictions = 0;
-  auto entry = cache_.acquire(problem, build, &hit, &evictions);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++(hit ? stats_.formulation_hits : stats_.formulation_misses);
-    stats_.evictions += evictions;
-  }
-  return entry;
-}
-
 void PlanService::ensure_presolve(CacheEntry& entry,
                                   double reference_budget_bytes) {
   // Artifacts presolved at budget B are sound for any budget <= B (the
@@ -234,27 +213,20 @@ void PlanService::ensure_presolve(CacheEntry& entry,
 ScheduleResult PlanService::solve_locked(CacheEntry& entry,
                                          double budget_bytes,
                                          const IlpSolveOptions& options_in,
-                                         int tree_threads,
                                          double known_lower_bound) {
-  // The query's share of the service thread budget feeds the in-solve
-  // parallel tree search unless the caller pinned num_threads explicitly.
-  // Either way the answer is identical (epoch-lockstep determinism); only
-  // wall-clock attribution changes. <= 0 covers both 0 (auto) and negative
-  // requests: letting a negative through would reach resolve_tree_threads'
-  // auto path and grab every hardware thread per query, outside the
-  // service budget. The share itself is clamped to >= 1 -- when queries
-  // outnumber budgeted threads the integer split budget/Q rounds to zero,
-  // and a zero-thread solve must still run single-threaded rather than
-  // fall through to the auto path.
+  // The service thread budget feeds the in-solve parallel tree search
+  // unless the caller pinned num_threads explicitly. Either way the answer
+  // is identical (epoch-lockstep determinism); only wall-clock time
+  // changes. <= 0 covers both 0 (auto) and negative requests: letting a
+  // negative through would reach resolve_tree_threads' auto path and grab
+  // every hardware thread, outside the service budget.
   IlpSolveOptions options = options_in;
-  if (options.num_threads <= 0) options.num_threads = std::max(1, tree_threads);
+  if (options.num_threads <= 0) options.num_threads = thread_budget();
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.queries;
   }
   const RematProblem& problem = entry.problem;
-  if (budget_bytes < problem.memory_floor())
-    return floor_infeasible(problem);
 
   // A chained schedule's memory use is budget-independent, so it is
   // feasible here iff its simulated peak fits this budget. (The chain is
@@ -359,15 +331,6 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   }
 
   ScheduleResult res = solve_ilp_on_formulation(*entry.form, options, reuse);
-  {
-    std::lock_guard lock(stats_mu_);
-    stats_.lp_refactorizations += res.lp_refactorizations;
-    stats_.lp_ft_updates += res.lp_ft_updates;
-    stats_.lp_ft_growth_refactors += res.lp_ft_growth_refactors;
-    stats_.lp_pricing_resets += res.lp_pricing_resets;
-    stats_.gomory_cuts += res.gomory_cuts;
-    stats_.cuts_removed += res.cuts_removed;
-  }
 
   if (options.partitioned && res.feasible &&
       res.milp_status == milp::MilpStatus::kOptimal) {
@@ -378,169 +341,6 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
     entry.chain_best_bound = res.best_bound;
   }
   return res;
-}
-
-ScheduleResult PlanService::plan(const RematProblem& problem,
-                                 double budget_bytes,
-                                 const IlpSolveOptions& options) {
-  return plan_internal(problem, budget_bytes, options, -lp::kInf);
-}
-
-ScheduleResult PlanService::plan_internal(const RematProblem& problem,
-                                          double budget_bytes,
-                                          const IlpSolveOptions& options,
-                                          double known_lower_bound) {
-  if (budget_bytes <= 0.0 || budget_bytes < problem.memory_floor()) {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.queries;
-    return floor_infeasible(problem);
-  }
-  auto entry = acquire(problem, budget_bytes, options);
-  std::lock_guard lock(entry->mu);
-  // A lone query owns the whole budget.
-  return solve_locked(*entry, budget_bytes, options, thread_budget(),
-                      known_lower_bound);
-}
-
-std::vector<ScheduleResult> PlanService::sweep(
-    const RematProblem& problem, const std::vector<double>& budgets,
-    const IlpSolveOptions& options) {
-  std::vector<ScheduleResult> out(budgets.size());
-  if (budgets.empty()) return out;
-
-  // Descending solve order: the largest budget solves first (and
-  // cheapest), then each point inherits its predecessor's optimum outright
-  // whenever that schedule's peak still fits (flat regions of the
-  // overhead-vs-budget staircase), and otherwise reuses its proven bound
-  // as a termination certificate.
-  std::vector<size_t> order(budgets.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return budgets[a] > budgets[b];
-  });
-  const double max_budget = budgets[order.front()];
-  if (max_budget <= 0.0) {
-    for (auto& r : out) r = floor_infeasible(problem);
-    std::lock_guard lock(stats_mu_);
-    stats_.queries += static_cast<int64_t>(budgets.size());
-    return out;
-  }
-
-  auto entry = acquire(problem, max_budget, options);
-  std::lock_guard lock(entry->mu);
-  // Presolve once at the sweep's largest budget; every point below reuses
-  // the artifacts through the U-bound clamp.
-  ensure_presolve(*entry, max_budget);
-  // Sweep points share one cache entry and run serially, so each solve
-  // gets the full budget as tree workers. A finite query deadline is
-  // re-apportioned before every point (remaining / points left).
-  size_t left = order.size();
-  for (size_t idx : order) {
-    out[idx] =
-        solve_locked(*entry, budgets[idx], apportion_deadline(options, left),
-                     thread_budget(), -lp::kInf);
-    --left;
-  }
-  return out;
-}
-
-std::vector<ScheduleResult> PlanService::plan_many(
-    const std::vector<PlanQuery>& queries) {
-  std::vector<ScheduleResult> out(queries.size());
-
-  // Group by cache identity (problem fingerprint + formulation shape):
-  // different groups are independent and run concurrently; queries within
-  // a group share a formulation, so they run as one ascending chained
-  // sweep on a single worker.
-  struct Group {
-    std::vector<size_t> indices;
-    double max_budget = 0.0;
-  };
-  std::unordered_map<FormulationKey, Group, FormulationKeyHash> groups;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const PlanQuery& q = queries[i];
-    if (q.problem == nullptr) {
-      out[i].message = "plan_many: null problem";
-      continue;
-    }
-    if (q.budget_bytes <= 0.0 ||
-        q.budget_bytes < q.problem->memory_floor()) {
-      out[i] = floor_infeasible(*q.problem);
-      std::lock_guard lock(stats_mu_);
-      ++stats_.queries;
-      continue;
-    }
-    FormulationKey key;
-    key.problem_fingerprint = q.problem->fingerprint();
-    key.partitioned = q.options.partitioned;
-    key.eliminate_diag_free = q.options.eliminate_diag_free;
-    key.formulation = q.options.formulation;
-    key.has_cost_cap = q.options.cost_cap.has_value();
-    key.cost_cap = q.options.cost_cap.value_or(0.0);
-    Group& g = groups[key];
-    g.indices.push_back(i);
-    g.max_budget = std::max(g.max_budget, q.budget_bytes);
-  }
-
-  auto run_group = [this, &queries, &out](const Group& g, int tree_threads) {
-    // Descending chained order, as in sweep().
-    std::vector<size_t> order = g.indices;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return queries[a].budget_bytes > queries[b].budget_bytes;
-    });
-    try {
-      auto entry = acquire(*queries[order.front()].problem, g.max_budget,
-                           queries[order.front()].options);
-      std::lock_guard lock(entry->mu);
-      ensure_presolve(*entry, g.max_budget);
-      // Each query keeps its own deadline; a finite one is clamped to its
-      // share of what remains across this group's unfinished points.
-      size_t left = order.size();
-      for (size_t idx : order) {
-        out[idx] = solve_locked(*entry, queries[idx].budget_bytes,
-                                apportion_deadline(queries[idx].options, left),
-                                tree_threads, -lp::kInf);
-        --left;
-      }
-    } catch (const std::exception& e) {
-      for (size_t idx : order)
-        if (out[idx].message.empty())
-          out[idx].message = std::string("plan_many: ") + e.what();
-    }
-  };
-
-  const int budget = thread_budget();
-  if (groups.size() <= 1) {
-    for (auto& kv : groups) run_group(kv.second, budget);
-    return out;
-  }
-  // Split the budget between the two levels: query-level workers take as
-  // many groups as fit, and whatever remains per worker goes to the
-  // in-solve tree search (a 2-group batch on 8 cores runs 2 queries x 4
-  // tree workers; 16 groups on 8 cores run 8 x 1). The pool is sized once
-  // from the BUDGET (service lifetime, created under a lock -- plan_many
-  // may be called from concurrent threads); each batch then divides the
-  // budget by its own ACTIVE worker count, so neither a small first batch
-  // nor a small later batch pins the split. Per-solve shares beyond the
-  // tree search's epoch width are clamped by resolve_tree_threads -- with
-  // fewer groups than budgeted cores the surplus is inherently unusable.
-  {
-    std::lock_guard lock(pool_mu_);
-    if (!pool_) {
-      const int q = opts_.num_workers > 0 ? opts_.num_workers
-                                          : std::max(1, std::min(budget, 8));
-      pool_ = std::make_unique<SolvePool>(q);
-    }
-  }
-  const int active = std::min(pool_->num_workers(),
-                              static_cast<int>(groups.size()));
-  const int tree_threads = std::max(1, budget / std::max(1, active));
-  for (auto& kv : groups) {
-    const Group* g = &kv.second;
-    pool_->submit([&run_group, g, tree_threads] { run_group(*g, tree_threads); });
-  }
-  pool_->wait_idle();
-  return out;
 }
 
 PlanOutcome PlanService::plan_robust(const RematProblem& problem,
@@ -749,8 +549,26 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
                       : "deadline expired before the solve started";
   } else {
     try {
+      // plan_robust's floor check already ran, so the query reaches the
+      // cache; presolve runs at this budget unless a larger one is cached.
+      IlpBuildOptions build;
+      build.budget_bytes = budget_bytes;
+      build.partitioned = options.partitioned;
+      build.eliminate_diag_free = options.eliminate_diag_free;
+      build.formulation = options.formulation;
+      build.cost_cap = options.cost_cap;
+      bool hit = false;
+      int64_t evictions = 0;
+      const std::shared_ptr<CacheEntry> entry =
+          cache_.acquire(problem, build, &hit, &evictions);
+      {
+        std::lock_guard lock(stats_mu_);
+        ++(hit ? stats_.formulation_hits : stats_.formulation_misses);
+        stats_.evictions += evictions;
+      }
+      std::lock_guard entry_lock(entry->mu);
       ScheduleResult res =
-          plan_internal(problem, budget_bytes, options, known_lower_bound);
+          solve_locked(*entry, budget_bytes, options, known_lower_bound);
       if (res.feasible) {
         out.result = std::move(res);
         out.lower_bound = std::max(ideal, out.result.best_bound);
@@ -799,8 +617,9 @@ std::vector<PlanOutcome> PlanService::sweep_robust(
   std::vector<PlanOutcome> out(budgets.size());
   if (budgets.empty()) return out;
   // Descending budget order keeps the cache chaining effective (each
-  // plan_robust call lands on the shared entry through plan()); the
-  // remaining deadline is re-apportioned before every point.
+  // plan_robust call lands on the shared cache entry, and the first,
+  // largest budget presolves for the rest); the remaining deadline is
+  // re-apportioned before every point.
   std::vector<size_t> order(budgets.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -821,15 +640,3 @@ ServiceStats PlanService::stats() const {
 }
 
 }  // namespace checkmate::service
-
-namespace checkmate {
-
-// Declared in core/scheduler.h; defined here so the core layer does not
-// depend on service headers.
-std::vector<ScheduleResult> Scheduler::solve_budget_sweep(
-    const std::vector<double>& budgets, const IlpSolveOptions& options) const {
-  service::PlanService svc;
-  return svc.sweep(problem_, budgets, options);
-}
-
-}  // namespace checkmate

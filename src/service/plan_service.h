@@ -1,10 +1,12 @@
-// Plan service: cached, incremental multi-query planning.
+// Plan service: cached, incremental, never-fail multi-query planning.
 //
 // Checkmate's real workloads are not one-shot solves: a Figure-5
 // overhead-vs-budget curve issues ~10 near-identical MILP queries per
-// model, and the Section 6.4 max-batch search issues a feasibility probe
-// per bisection step. The PlanService answers such query streams at full
-// MILP optimality while amortizing everything the queries share:
+// model, and a serving process sees the same few models at many budgets.
+// The PlanService answers such query streams at full MILP optimality
+// through one path -- plan_robust, the fallback ladder of PlanProvenance;
+// with no deadline it returns exactly what Scheduler::solve_optimal_ilp
+// would -- while amortizing everything the queries share:
 //
 //   - formulation reuse: one built IlpFormulation per (problem
 //     fingerprint, formulation shape); a new budget is an in-place
@@ -13,7 +15,7 @@
 //     interest; smaller budgets clamp the U upper bounds of the cached
 //     reduced LP (sound because every presolve reduction is monotone in
 //     the bounds -- see milp/presolve.h);
-//   - warm-start chaining: a sweep is solved in descending budget order.
+//   - warm-start chaining: sweep_robust solves in descending budget order.
 //     A schedule's simulated peak is budget-independent, so whenever the
 //     previous (larger-budget) optimum still fits the next budget it is
 //     *provably* optimal there too (shrinking the budget can only raise
@@ -25,13 +27,9 @@
 //     the bound through the dual plateau; fitting chained optima are also
 //     injected as starting incumbents;
 //   - a chained optimum whose cost equals the compute floor (every
-//     operation exactly once) short-circuits larger budgets the same way;
-//   - a fixed-size worker pool solves independent queries (different
-//     models, or different formulation shapes) concurrently. Queries
-//     sharing a cache entry are serialized and chained instead.
+//     operation exactly once) short-circuits larger budgets the same way.
 //
-// Admission control (plan_robust / sweep_robust only; plain plan() stays
-// a direct cache query):
+// Admission control in front of the ladder:
 //
 //   - disk-backed plan store: with store_dir set, proven optima are
 //     persisted crash-safely (src/store/plan_store.h) and served across
@@ -50,14 +48,17 @@
 //     instead of queueing without bound. Shedding never invents an
 //     infeasibility -- if no heuristic fits, the query takes a slot.
 //
-// Determinism: every query keeps its own MilpOptions -- including the
-// deterministic max_lp_iterations work limit -- and its own simplex
-// engine, so answers are independent of worker count and arrival order
-// within a chain group (groups are internally solved in ascending budget
-// order regardless of submission order).
+// Concurrency: plan_robust may be called from any number of threads;
+// concurrent callers share the formulation cache, and queries landing on
+// the same cache entry are serialized on it. Determinism: every query
+// keeps its own MilpOptions -- including the deterministic
+// max_lp_iterations work limit -- and its own simplex engine, and the
+// in-solve tree search is epoch-lockstep, so a solved query's answer does
+// not depend on the thread budget.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,7 +66,6 @@
 #include "core/remat_problem.h"
 #include "core/scheduler.h"
 #include "service/formulation_cache.h"
-#include "service/solve_pool.h"
 
 namespace checkmate::store {
 class PlanStore;
@@ -75,20 +75,12 @@ struct StoreShape;
 namespace checkmate::service {
 
 struct PlanServiceOptions {
-  // Global thread budget shared by BOTH levels of parallelism: SolvePool
-  // query-level workers (plan_many groups) and per-solve tree-search
-  // workers inside each MILP (milp/branch_and_bound.h). 0 = one per
-  // hardware thread. A lone hard query (plan / sweep) gets the whole
-  // budget as tree workers; a plan_many batch splits it as
-  //   query workers Q = min(#groups, budget, 8)   (unless num_workers set)
-  //   tree workers per solve = max(1, budget / Q)
-  // Determinism is unaffected either way: the tree search is epoch-
-  // lockstep (identical nodes/incumbents for any worker count) and query
-  // groups are independent, so the budget only moves wall-clock time.
+  // Thread budget for the in-solve tree search (milp/branch_and_bound.h):
+  // a query that leaves IlpSolveOptions::num_threads at 0 (or negative)
+  // runs on this many tree workers. 0 = one per hardware thread. The
+  // tree search is epoch-lockstep (identical nodes/incumbents for any
+  // worker count), so the budget only moves wall-clock time.
   int num_threads = 0;
-  // Explicit override for the query-level worker count (plan_many). 0 =
-  // derive from the thread budget as above.
-  int num_workers = 0;
   // Cached formulations (LRU beyond this).
   size_t max_cache_entries = 16;
   // Directory of the disk-backed plan store; empty disables persistence.
@@ -110,7 +102,7 @@ struct ServiceStats {
   int64_t warm_starts_injected = 0;  // adjacent optima handed to B&B
   int64_t warm_start_shortcuts = 0;  // solves skipped: chained optimum at the compute floor
   int64_t evictions = 0;
-  // Admission-layer counters (plan_robust only). A store hit or a shared
+  // Admission-layer counters. A store hit or a shared
   // single-flight outcome does NOT count as a query: `queries` keeps its
   // meaning of "solves the cache actually answered".
   int64_t store_hits = 0;            // plans served from the disk store
@@ -119,23 +111,6 @@ struct ServiceStats {
   int64_t store_put_failures = 0;    // absorbed store write failures
   int64_t single_flight_shared = 0;  // followers served a leader's outcome
   int64_t shed_overload = 0;         // queries shed to the heuristic rung
-  // Cumulative LP-engine observability over every MILP solve the service
-  // ran (ScheduleResult pass-throughs summed): basis refactorizations,
-  // Forrest-Tomlin updates, refactorizations forced by FT fill growth or
-  // an unstable update, partial-pricing candidate-list rebuilds, and
-  // Gomory cut rows added / cut rows later deleted by in-LP aging.
-  int64_t lp_refactorizations = 0;
-  int64_t lp_ft_updates = 0;
-  int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_pricing_resets = 0;
-  int64_t gomory_cuts = 0;
-  int64_t cuts_removed = 0;
-};
-
-struct PlanQuery {
-  const RematProblem* problem = nullptr;  // must outlive the call
-  double budget_bytes = 0.0;
-  IlpSolveOptions options;
 };
 
 // Where a robust query's plan came from, in strictly degrading order. The
@@ -180,33 +155,21 @@ class PlanService {
   PlanService(const PlanService&) = delete;
   PlanService& operator=(const PlanService&) = delete;
 
-  // One query through the cache. Identical (proven-optimal) objective to
-  // Scheduler::solve_optimal_ilp with the same options.
-  ScheduleResult plan(const RematProblem& problem, double budget_bytes,
-                      const IlpSolveOptions& options = {});
-
-  // Budget sweep over one model: solved in descending budget order with
-  // optimum inheritance and warm-start chaining, presolved once at the
-  // largest budget; results returned in the caller's order.
-  std::vector<ScheduleResult> sweep(const RematProblem& problem,
-                                    const std::vector<double>& budgets,
-                                    const IlpSolveOptions& options = {});
-
-  // Independent queries (many models and/or many budgets). Queries are
-  // grouped by cache entry; groups run concurrently on the worker pool and
-  // each group runs as a descending chained sweep. Results come back in
-  // submission order.
-  std::vector<ScheduleResult> plan_many(const std::vector<PlanQuery>& queries);
-
-  // Never-fail variants: the fallback ladder of PlanProvenance. A query
-  // whose MILP completes returns the proven optimum; a truncated search
-  // (deadline, work limits, cancellation) returns its best incumbent with
-  // the true gap; a search that produced nothing (or died on a fault)
-  // falls back to the cheapest simulator-validated baseline schedule; only
-  // a *proof* that no plan exists yields kInfeasible. Set
-  // options.deadline / options.cancel to bound the query; sweep_robust
-  // re-apportions the remaining deadline across its points so one slow
-  // instance cannot starve the rest.
+  // The one serving path: the fallback ladder of PlanProvenance. A query
+  // whose MILP completes returns the proven optimum -- with no deadline,
+  // the same cost, nodes and LP iterations as Scheduler::solve_optimal_ilp
+  // with the same options; a truncated search (deadline, work limits,
+  // cancellation) returns its best incumbent with the true gap; a search
+  // that produced nothing (or died on a fault) falls back to the cheapest
+  // simulator-validated baseline schedule; only a *proof* that no plan
+  // exists yields kInfeasible. Set options.deadline / options.cancel to
+  // bound the query.
+  //
+  // sweep_robust is a budget sweep over one model: plan_robust per point in
+  // descending budget order, so each point chains off its larger-budget
+  // neighbour and presolve runs once at the largest budget; the remaining
+  // deadline is re-apportioned across the points so one slow instance
+  // cannot starve the rest. Outcomes come back in the caller's order.
   PlanOutcome plan_robust(const RematProblem& problem, double budget_bytes,
                           const IlpSolveOptions& options = {});
   std::vector<PlanOutcome> sweep_robust(const RematProblem& problem,
@@ -226,26 +189,17 @@ class PlanService {
   // collision solves solo instead of sharing a stranger's plan.
   struct Flight;
 
-  std::shared_ptr<CacheEntry> acquire(const RematProblem& problem,
-                                      double reference_budget_bytes,
-                                      const IlpSolveOptions& options);
   // (Re)runs presolve at reference_budget_bytes when the cached artifacts
   // do not already cover it. Entry mutex must be held.
   void ensure_presolve(CacheEntry& entry, double reference_budget_bytes);
-  // Answers one query against a locked entry. `tree_threads` is this
-  // query's share of the service thread budget; it only applies when the
-  // query left IlpSolveOptions::num_threads at 0 (auto).
+  // Answers one query against a locked entry. The service thread budget
+  // applies when the query left IlpSolveOptions::num_threads at 0 (auto).
   // `known_lower_bound` (-inf when absent) is an externally proven lower
   // bound on this query's optimum -- e.g. a store-carried dual bound --
   // merged into the solve's termination certificate.
   ScheduleResult solve_locked(CacheEntry& entry, double budget_bytes,
-                              const IlpSolveOptions& options, int tree_threads,
+                              const IlpSolveOptions& options,
                               double known_lower_bound);
-  // plan() with an external lower bound threaded through to solve_locked.
-  ScheduleResult plan_internal(const RematProblem& problem,
-                               double budget_bytes,
-                               const IlpSolveOptions& options,
-                               double known_lower_bound);
   // The fallback ladder behind plan_robust, after the floor check and the
   // admission layer (store lookup, single-flight, overload shedding).
   PlanOutcome plan_robust_ladder(const RematProblem& problem,
@@ -260,8 +214,6 @@ class PlanService {
 
   PlanServiceOptions opts_;
   FormulationCache cache_;
-  std::mutex pool_mu_;               // guards pool_ creation
-  std::unique_ptr<SolvePool> pool_;  // created lazily by plan_many
 
   std::unique_ptr<store::PlanStore> store_;  // null unless store_dir set
   std::mutex admission_mu_;  // guards inflight_ and active_solves_

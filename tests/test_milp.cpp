@@ -471,6 +471,22 @@ TEST(Milp, DeterministicLpIterationLimitIsReproducible) {
   EXPECT_EQ(r1.objective, r2.objective);
 }
 
+TEST(Milp, IterationLimitBindsInsideTheRootLp) {
+  // A root LP longer than the whole work limit stops at the limit instead
+  // of pivoting on to wherever the wall clock cuts it, so the truncation
+  // point is the same on every host.
+  auto p = RematProblem::unit_training_chain(8);
+  IlpBuildOptions build;
+  build.budget_bytes = 7.0;
+  IlpFormulation f(p, build);
+  MilpOptions opts = bounded();
+  opts.max_lp_iterations = 50;
+  const MilpResult res = solve_milp(f.lp(), opts);
+  EXPECT_NE(res.status, MilpStatus::kOptimal);
+  EXPECT_EQ(res.nodes, 1);
+  EXPECT_EQ(res.lp_iterations, 50);
+}
+
 TEST(Milp, PresolveStatsReportedThroughResult) {
   LinearProgram lp;
   int x = lp.add_binary(-1.0);

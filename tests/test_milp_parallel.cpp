@@ -223,32 +223,13 @@ TEST(MilpParallel, MatchesBruteForceWithFourWorkers) {
   }
 }
 
-TEST(MilpParallel, EpochWidthChangesTreeButNeverTheOptimum) {
-  // epoch_width IS part of the search semantics (unlike num_threads):
-  // different widths may explore different trees but must agree on the
-  // proven optimum.
-  LinearProgram lp = random_binary_program(59u, 18, 3);
-  std::optional<double> reference;
-  for (int width : {1, 2, 4, 8}) {
-    MilpOptions opts = bounded();
-    opts.epoch_width = width;
-    opts.num_threads = 2;
-    auto res = solve_milp(lp, opts);
-    ASSERT_EQ(res.status, MilpStatus::kOptimal) << "width " << width;
-    if (!reference)
-      reference = res.objective;
-    else
-      EXPECT_NEAR(res.objective, *reference, 1e-6) << "width " << width;
-  }
-}
-
 TEST(MilpParallel, ResolveTreeThreadsAlwaysPositive) {
   MilpOptions opts;
   opts.num_threads = 0;  // auto: hardware count, but never 0
   EXPECT_GE(resolve_tree_threads(opts), 1);
-  EXPECT_LE(resolve_tree_threads(opts), std::max(1, opts.epoch_width));
+  EXPECT_LE(resolve_tree_threads(opts), kEpochWidth);
   opts.num_threads = 64;  // clamped to the epoch width
-  EXPECT_EQ(resolve_tree_threads(opts), opts.epoch_width);
+  EXPECT_EQ(resolve_tree_threads(opts), kEpochWidth);
   opts.num_threads = -3;
   EXPECT_GE(resolve_tree_threads(opts), 1);
 }

@@ -41,7 +41,9 @@ using testing::TempDir;
 // (store-less) service so the store tests control persistence themselves.
 ScheduleResult solve_fresh(const RematProblem& p, double budget) {
   service::PlanService svc;
-  ScheduleResult res = svc.plan(p, budget);
+  const PlanOutcome out = svc.plan_robust(p, budget);
+  EXPECT_EQ(out.provenance, PlanProvenance::kProvenOptimal);
+  ScheduleResult res = out.result;
   EXPECT_TRUE(res.feasible);
   EXPECT_EQ(res.milp_status, milp::MilpStatus::kOptimal);
   return res;

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <random>
 
-#include "lp/dense_simplex.h"
+#include "dense_simplex.h"
 
 namespace checkmate::lp {
 namespace {
