@@ -3,8 +3,12 @@
 // Scheduler::solve_optimal_ilp calls -- versus through
 // PlanService::sweep_robust, which builds and presolves the formulation
 // once, rebinds the budget in place per point and chains warm starts.
-// Both paths must land identical proven-optimal objectives at every point;
-// the service must be >= 3x faster wall-clock.
+// What scripts/compare_bench.py gates on a fresh run: every point of both
+// paths proves optimality, the cold and service objectives agree within
+// the gap, the service sweep explores no more branch & bound nodes than
+// the cold sweep on each instance, and neither path's node count or wall
+// time blows up against the committed baseline. The wall-clock speedup is
+// reported, not gated: it depends on the host.
 //
 //   sweep_bench [--json[=PATH]] [--points=N] [--instance=SUBSTR] [--gap=G]
 //

@@ -77,7 +77,7 @@ if [ "$CHECK_TIER" = "full" ]; then
   ASAN_DIR="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$ASAN_DIR" -S . "${GENERATOR_FLAGS[@]}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCHECKMATE_ASAN=ON \
-    -DCHECKMATE_FAULT_INJECTION=ON
+    -DCHECKMATE_FAULT_INJECTION=ON -DCHECKMATE_WERROR=ON
   cmake --build "$ASAN_DIR" -j --target test_chaos test_robust \
     test_plan_store test_simplex test_lu
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \

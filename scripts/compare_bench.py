@@ -22,8 +22,11 @@ Handles both committed formats:
   BENCH_sweep.json   (sweep_bench --json): records keyed by
                      (instance, cold|cached), gated on total node counts;
                      additionally fails if any fresh sweep point lost
-                     proven optimality or the cold/cached objectives
-                     diverged beyond the gap.
+                     proven optimality, the cold/cached objectives
+                     diverged beyond the gap, or the fresh service
+                     ("cached") sweep explored more nodes than the fresh
+                     cold sweep on an instance (node counts, unlike the
+                     wall-clock speedup, hold on any machine).
   BENCH_service.json (service_bench --json): records keyed by
                      (phase, replay), gated on total node counts plus the
                      admission contracts: the served-without-solve rate of
@@ -280,6 +283,11 @@ def main():
                 failures.append(
                     f"{name}: cold/cached objectives diverged by "
                     f"{inst['max_cost_rel_diff']:.2e} (> gap {gap})")
+            if inst["cached_nodes"] > inst["cold_nodes"]:
+                failures.append(
+                    f"{name}: service sweep explored more nodes than the "
+                    f"cold sweep ({inst['cached_nodes']} > "
+                    f"{inst['cold_nodes']})")
 
     if kind == "service_bench":
         base_phases = {p["phase"]: p for p in base_doc["phases"]}

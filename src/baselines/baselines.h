@@ -17,6 +17,7 @@
 // and simulator as the Checkmate ILP.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -57,6 +58,15 @@ bool baseline_applicable(const RematProblem& p, BaselineKind kind);
 std::vector<BaselineSchedule> baseline_schedules(
     const RematProblem& p, BaselineKind kind,
     const BaselineSweepOptions& options = {});
+
+// The schedule pool the ILP seeds its incumbent from and the plan
+// service's heuristic rung picks from, visited in this order:
+// checkpoint-all, the sqrt(n) and greedy families, then budget-aware
+// retention at ten caps spanning the headroom under `budget_bytes` (the
+// tight-budget regime, where checkpoint families bust the budget).
+void for_each_candidate_schedule(
+    const RematProblem& p, double budget_bytes,
+    const std::function<void(const RematSolution&)>& f);
 
 // ---------------------------------------------------------------------
 // Building blocks (exposed for tests and custom strategies).

@@ -90,6 +90,20 @@ bool baseline_applicable(const RematProblem& p, BaselineKind kind) {
   return false;
 }
 
+void for_each_candidate_schedule(
+    const RematProblem& p, double budget_bytes,
+    const std::function<void(const RematSolution&)>& f) {
+  for (auto kind :
+       {BaselineKind::kCheckpointAll, BaselineKind::kChenSqrtN,
+        BaselineKind::kLinearizedSqrtN, BaselineKind::kLinearizedGreedy,
+        BaselineKind::kApGreedy}) {
+    for (const auto& bs : baseline_schedules(p, kind)) f(bs.solution);
+  }
+  const double headroom = budget_bytes - p.fixed_overhead;
+  for (double frac : {0.95, 0.85, 0.75, 0.6, 0.45, 0.3, 0.2, 0.12, 0.06, 0.03})
+    f(budget_aware_schedule(p, frac * headroom));
+}
+
 std::vector<BaselineSchedule> baseline_schedules(
     const RematProblem& p, BaselineKind kind,
     const BaselineSweepOptions& options) {

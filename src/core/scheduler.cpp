@@ -6,6 +6,15 @@
 
 namespace checkmate {
 
+IlpBuildOptions build_options(const IlpSolveOptions& options,
+                              double budget_bytes) {
+  return {.budget_bytes = budget_bytes,
+          .partitioned = options.partitioned,
+          .eliminate_diag_free = options.eliminate_diag_free,
+          .formulation = options.formulation,
+          .cost_cap = options.cost_cap};
+}
+
 Scheduler::Scheduler(RematProblem problem) : problem_(std::move(problem)) {
   problem_.validate();
 }
@@ -100,20 +109,7 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
         best_seed_cost = cost;
       }
     };
-    using baselines::BaselineKind;
-    for (auto kind :
-         {BaselineKind::kCheckpointAll, BaselineKind::kChenSqrtN,
-          BaselineKind::kLinearizedSqrtN, BaselineKind::kLinearizedGreedy,
-          BaselineKind::kApGreedy}) {
-      for (const auto& bs : baselines::baseline_schedules(problem, kind))
-        offer_seed(bs.solution);
-    }
-    // Belady-style budget-aware retention covers the tight-budget regime
-    // where checkpoint-family heuristics bust the budget.
-    const double headroom = budget_bytes - problem.fixed_overhead;
-    for (double frac :
-         {0.95, 0.85, 0.75, 0.6, 0.45, 0.3, 0.2, 0.12, 0.06, 0.03})
-      offer_seed(baselines::budget_aware_schedule(problem, frac * headroom));
+    baselines::for_each_candidate_schedule(problem, budget_bytes, offer_seed);
     if (best_seed) mopts.initial_solutions.push_back(std::move(*best_seed));
   }
 
@@ -145,21 +141,16 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
       reuse.presolved_lp ? *reuse.presolved_lp : form.lp();
   const milp::MilpResult mres = milp::solve_milp(target, mopts, heuristic);
 
-  ScheduleResult res;
-  res.milp_status = mres.status;
-  res.nodes = mres.nodes;
-  res.lp_iterations = mres.lp_iterations;
-  res.cuts_added = mres.cuts_added;
-  res.strong_branches = mres.strong_branches;
-  res.gomory_cuts = mres.gomory_cuts;
-  res.cuts_removed = mres.cuts_removed;
-  res.lp_refactorizations = mres.lp_refactorizations;
-  res.lp_ft_updates = mres.lp_ft_updates;
-  res.lp_ft_growth_refactors = mres.lp_ft_growth_refactors;
-  res.lp_pricing_resets = mres.lp_pricing_resets;
-  res.seconds = mres.seconds;
-  res.best_bound = form.unscale_cost(mres.best_bound);
-  res.root_relaxation = form.unscale_cost(mres.root_relaxation);
+  // The search's report, stamped onto whichever result is returned.
+  auto with_search = [&](ScheduleResult r) {
+    static_cast<milp::SolveStats&>(r) = mres;
+    r.milp_status = mres.status;
+    r.seconds = mres.seconds;
+    r.best_bound = form.unscale_cost(mres.best_bound);
+    r.root_relaxation = form.unscale_cost(mres.root_relaxation);
+    return r;
+  };
+  ScheduleResult res = with_search({});
   if (!mres.has_solution()) {
     res.message = std::string("MILP: ") + milp::to_string(mres.status);
     // A completed dense search proves the instance itself infeasible. The
@@ -183,23 +174,8 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
     return res;
   }
 
-  ScheduleResult eval = evaluate_schedule_against(
-      problem, form.extract_solution(mres.x), budget_bytes);
-  eval.milp_status = mres.status;
-  eval.nodes = mres.nodes;
-  eval.lp_iterations = mres.lp_iterations;
-  eval.cuts_added = mres.cuts_added;
-  eval.strong_branches = mres.strong_branches;
-  eval.gomory_cuts = mres.gomory_cuts;
-  eval.cuts_removed = mres.cuts_removed;
-  eval.lp_refactorizations = mres.lp_refactorizations;
-  eval.lp_ft_updates = mres.lp_ft_updates;
-  eval.lp_ft_growth_refactors = mres.lp_ft_growth_refactors;
-  eval.lp_pricing_resets = mres.lp_pricing_resets;
-  eval.seconds = mres.seconds;
-  eval.best_bound = res.best_bound;
-  eval.root_relaxation = res.root_relaxation;
-  return eval;
+  return with_search(evaluate_schedule_against(
+      problem, form.extract_solution(mres.x), budget_bytes));
 }
 
 ScheduleResult Scheduler::solve_optimal_ilp(
@@ -216,13 +192,7 @@ ScheduleResult Scheduler::solve_optimal_ilp(
     return res;
   }
 
-  IlpBuildOptions build;
-  build.budget_bytes = budget_bytes;
-  build.partitioned = options.partitioned;
-  build.eliminate_diag_free = options.eliminate_diag_free;
-  build.formulation = options.formulation;
-  build.cost_cap = options.cost_cap;
-  const IlpFormulation form(problem_, build);
+  const IlpFormulation form(problem_, build_options(options, budget_bytes));
   return solve_ilp_on_formulation(form, options);
 }
 

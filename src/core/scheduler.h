@@ -64,6 +64,10 @@ struct IlpSolveOptions {
   robust::CancelToken cancel;
 };
 
+// The formulation a query with these options solves at `budget_bytes`.
+IlpBuildOptions build_options(const IlpSolveOptions& options,
+                              double budget_bytes);
+
 struct ApproxOptions {
   // Budget allowance epsilon of Section 5.3: the LP is solved against
   // (1 - epsilon) * budget so the rounded schedule lands under budget.
@@ -73,7 +77,9 @@ struct ApproxOptions {
   uint64_t seed = 1;
 };
 
-struct ScheduleResult {
+// The MILP's solve counters (milp::SolveStats base) pass through
+// unchanged; they stay zero for schedules no search produced.
+struct ScheduleResult : milp::SolveStats {
   bool feasible = false;
   std::string message;
 
@@ -88,20 +94,6 @@ struct ScheduleResult {
   milp::MilpStatus milp_status = milp::MilpStatus::kError;
   double best_bound = 0.0;       // problem cost units
   double root_relaxation = 0.0;  // problem cost units
-  int64_t nodes = 0;
-  int64_t lp_iterations = 0;     // cumulative simplex iterations
-  int64_t cuts_added = 0;        // cut rows appended by branch & cut
-  int64_t strong_branches = 0;   // reliability-branching probe solves
-  // LP-engine observability (milp::MilpResult pass-through): Gomory cut
-  // rows of cuts_added, cut rows later deleted by in-LP aging, and the
-  // engine-level refactorization/update/pricing counters summed over
-  // every LP solve of the search.
-  int64_t gomory_cuts = 0;
-  int64_t cuts_removed = 0;
-  int64_t lp_refactorizations = 0;
-  int64_t lp_ft_updates = 0;
-  int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_pricing_resets = 0;
   double seconds = 0.0;
 
   // Typed infeasibility: true only when NO schedule can fit the budget,

@@ -78,13 +78,17 @@ struct SimplexOptions {
 
 // Cumulative LP-engine observability counters (per DualSimplex instance;
 // branch & bound diffs them around each node batch to attribute work).
+// milp::SolveStats extends this struct, so the engine's counters reach
+// every layer above under these names; its visitor lists them.
 struct LpEngineStats {
-  int64_t refactorizations = 0;  // full LU rebuilds
-  int64_t ft_updates = 0;        // Forrest-Tomlin updates absorbed
+  int64_t lp_refactorizations = 0;  // full LU rebuilds
+  int64_t lp_ft_updates = 0;        // Forrest-Tomlin updates absorbed
   // Refactorizations forced by FT fill growth or an unstable update (a
   // subset of refactorizations; the rest are cadence/anti-stall/restore).
-  int64_t ft_growth_refactors = 0;
-  int64_t pricing_resets = 0;  // partial-pricing candidate-list rebuilds
+  int64_t lp_ft_growth_refactors = 0;
+  int64_t lp_pricing_resets = 0;  // partial-pricing candidate-list rebuilds
+
+  bool operator==(const LpEngineStats&) const = default;
 };
 
 // Engine-independent capture of the warm-start-relevant simplex state:

@@ -125,22 +125,10 @@ struct PcObservation {
 };
 
 // Engine counter attribution: the per-slot (or per-root-round) growth of a
-// DualSimplex's cumulative LpEngineStats.
-lp::LpEngineStats stats_since(const lp::LpEngineStats& now,
-                              const lp::LpEngineStats& base) {
-  lp::LpEngineStats d;
-  d.refactorizations = now.refactorizations - base.refactorizations;
-  d.ft_updates = now.ft_updates - base.ft_updates;
-  d.ft_growth_refactors = now.ft_growth_refactors - base.ft_growth_refactors;
-  d.pricing_resets = now.pricing_resets - base.pricing_resets;
-  return d;
-}
-
-void add_stats(MilpResult& r, const lp::LpEngineStats& d) {
-  r.lp_refactorizations += d.refactorizations;
-  r.lp_ft_updates += d.ft_updates;
-  r.lp_ft_growth_refactors += d.ft_growth_refactors;
-  r.lp_pricing_resets += d.pricing_resets;
+// DualSimplex's cumulative LpEngineStats since `base`.
+SolveStats engine_growth(const lp::DualSimplex& eng,
+                         const lp::LpEngineStats& base) {
+  return SolveStats::of(eng.stats()) - SolveStats::of(base);
 }
 
 struct IncumbentCandidate {
@@ -150,9 +138,10 @@ struct IncumbentCandidate {
 
 // Everything a slot produced, committed in slot order at the barrier.
 struct SlotResult {
-  int64_t nodes = 0;
-  int64_t lp_iterations = 0;
-  int64_t strong_branches = 0;
+  // Nodes, LP iterations, strong branches and the engine counter growth
+  // over this slot's solves (node LPs + probes); deterministic because the
+  // slot's engine trajectory is snapshot-pure.
+  SolveStats stats;
   std::vector<PathEntry> entries;  // local arena entries (refs >= shared base)
   std::vector<OpenNode> children;  // for the open queue (paths may be local)
   std::vector<PcObservation> pc_obs;
@@ -161,9 +150,6 @@ struct SlotResult {
   // separation). Globally valid by construction; the coordinator offers
   // them to the pool in slot order at the barrier.
   std::vector<Cut> cuts;
-  // LP-engine counter growth over this slot's solves (node LPs + probes);
-  // deterministic because the slot's engine trajectory is snapshot-pure.
-  lp::LpEngineStats lp_stats;
   std::vector<double> heur_x;  // first fractional LP solution of the slot
   double heur_obj = lp::kInf;
   bool solved_root = false;
@@ -466,10 +452,7 @@ class EpochSearch {
       for (IncumbentCandidate& inc : r.incumbents)
         try_incumbent(inc.x, inc.objective);
       for (Cut& c : r.cuts) cut_pool_.offer(std::move(c));
-      result_.nodes += r.nodes;
-      result_.lp_iterations += r.lp_iterations;
-      result_.strong_branches += r.strong_branches;
-      add_stats(result_, r.lp_stats);
+      result_ += r.stats;
       if (r.solved_root) {
         root_done_ = true;
         if (r.root_lp_ok) {
@@ -683,7 +666,7 @@ class EpochSearch {
         root_redcost_ = eng.structural_reduced_costs();
         root_snap_ = std::make_shared<const lp::BasisSnapshot>(eng.snapshot());
       }
-      add_stats(result_, stats_since(eng.stats(), stats0));
+      result_ += engine_growth(eng, stats0);
     } catch (const std::exception&) {
       // Recovery ladder: a cut round that dies (e.g. an injected cut-row
       // append failure) abandons further rounds and keeps the previous
@@ -853,8 +836,8 @@ class EpochSearch {
         eng.set_objective_limit(threshold);
         const lp::LpResult probe = eng.solve();
         eng.set_var_bounds(j, lo, hi);
-        out.lp_iterations += probe.iterations;
-        ++out.strong_branches;
+        out.stats.lp_iterations += probe.iterations;
+        ++out.stats.strong_branches;
 
         const double dist = dir == 0 ? f : 1.0 - f;
         double child_bound = -lp::kInf;
@@ -937,7 +920,7 @@ class EpochSearch {
       const double ilo = std::max(eng.var_lower(f.var), f.lo);
       const double ihi = std::min(eng.var_upper(f.var), f.hi);
       if (ilo > ihi) {
-        out.lp_stats = stats_since(eng.stats(), eng_stats0);
+        out.stats += engine_growth(eng, eng_stats0);
         return out;
       }
       if (ilo != eng.var_lower(f.var) || ihi != eng.var_upper(f.var))
@@ -988,10 +971,10 @@ class EpochSearch {
       // slot's even share of the remaining budget -- both deterministic
       // for any worker count.
       const double rem = remaining_sec();
-      if (out.nodes >= slot_node_allowance_ ||
-          out.lp_iterations >= slot_iter_allowance_ ||
-          nodes_base + out.nodes >= opt_.max_nodes ||
-          iters_base + out.lp_iterations >= opt_.max_lp_iterations ||
+      if (out.stats.nodes >= slot_node_allowance_ ||
+          out.stats.lp_iterations >= slot_iter_allowance_ ||
+          nodes_base + out.stats.nodes >= opt_.max_nodes ||
+          iters_base + out.stats.lp_iterations >= opt_.max_lp_iterations ||
           rem <= 0.0) {
         requeue_cursor();
         break;
@@ -1021,7 +1004,7 @@ class EpochSearch {
         // long solve (a deep model's root) must not run past the limit to
         // wherever the wall clock cuts it, which would depend on the host.
         const int64_t work_left =
-            opt_.max_lp_iterations - iters_base - out.lp_iterations;
+            opt_.max_lp_iterations - iters_base - out.stats.lp_iterations;
         if (work_left < cap) cap = static_cast<int>(work_left);
         eng.set_iteration_limit(cap);
       }
@@ -1034,13 +1017,13 @@ class EpochSearch {
       eng.set_objective_limit(
           cur.path < 0 ? lp::kInf
                        : prune_threshold_for(best_obj, opt_.relative_gap));
-      ++out.nodes;
+      ++out.stats.nodes;
       const Clock::time_point node_t0 = Clock::now();
       const lp::LpResult rel = eng.solve();
       w.solve_secs +=
           std::chrono::duration<double>(Clock::now() - node_t0).count();
       w.solve_iters += rel.iterations;
-      out.lp_iterations += rel.iterations;
+      out.stats.lp_iterations += rel.iterations;
       const bool is_root = cur.path < 0;
       if (is_root) {
         out.solved_root = true;
@@ -1094,7 +1077,7 @@ class EpochSearch {
           w.sb_prune[1].assign(static_cast<size_t>(lp_.num_vars()), 0);
         }
         sb_reset(w);
-        if (sb_base + out.strong_branches < kStrongBranchBudget)
+        if (sb_base + out.stats.strong_branches < kStrongBranchBudget)
           strong_branch_probes(w, eng, rel, best_obj, out);
       }
 
@@ -1120,7 +1103,7 @@ class EpochSearch {
       // bounds), so they ride the SlotResult to the coordinator, which
       // pools and appends them at the barrier in slot order.
       if (knapsack_cuts_on_ && !opt_.stop_at_first_incumbent && !is_root &&
-          out.nodes % kCutNodeInterval == 0 &&
+          out.stats.nodes % kCutNodeInterval == 0 &&
           static_cast<int>(out.cuts.size()) < kMaxCutsPerRound) {
         SeparationOptions sep = separation_options();
         sep.max_cuts = kMaxCutsPerRound - static_cast<int>(out.cuts.size());
@@ -1179,7 +1162,7 @@ class EpochSearch {
         return c;
       };
 
-      if (out.nodes >= dive_cap) {
+      if (out.stats.nodes >= dive_cap) {
         if (open_dir) out.children.push_back(make_open_child(*open_dir));
         out.children.push_back(make_open_child(*dive_dir));
         break;
@@ -1190,7 +1173,7 @@ class EpochSearch {
       eng.set_var_bounds(c.var, c.lo, c.hi);
       cur = Cursor{child_path, rel.objective, bv, *dive_dir, f, nullptr};
     }
-    out.lp_stats = stats_since(eng.stats(), eng_stats0);
+    out.stats += engine_growth(eng, eng_stats0);
     return out;
   }
 
@@ -1210,7 +1193,7 @@ class EpochSearch {
     } catch (const std::exception&) {
       workers_[static_cast<size_t>(wid)].engine.reset();
       SlotResult out;
-      out.nodes = 1;  // the failed node counts toward the work limits
+      out.stats.nodes = 1;  // the failed node counts toward the work limits
       if (start.path < 0) out.solved_root = true;  // root died: no LP info
       out.dropped = true;
       out.dropped_bound = start.bound;

@@ -1,6 +1,7 @@
 #include "milp/milp.h"
 
 #include <algorithm>
+#include <ostream>
 
 #include "milp/branch_and_bound.h"
 
@@ -15,6 +16,22 @@ const char* to_string(MilpStatus status) {
     case MilpStatus::kError: return "error";
   }
   return "unknown";
+}
+
+std::string to_json_fields(const SolveStats& stats) {
+  std::string out;
+  SolveStats::for_each([&](const char* name, auto m) {
+    if (!out.empty()) out += ", ";
+    out += '"';
+    out += name;
+    out += "\": ";
+    out += std::to_string(stats.*m);
+  });
+  return out;
+}
+
+void PrintTo(const SolveStats& stats, std::ostream* os) {
+  *os << '{' << to_json_fields(stats) << '}';
 }
 
 MilpResult solve_milp(const lp::LinearProgram& lp, const MilpOptions& options,

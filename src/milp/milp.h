@@ -35,8 +35,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "lp/lp_problem.h"
@@ -144,35 +146,78 @@ enum class MilpStatus {
 
 const char* to_string(MilpStatus status);
 
-struct MilpResult {
+// The deterministic counters of one solve, summed over every node, probe
+// and root-round LP; the LP engine's arrive through the lp::LpEngineStats
+// base. Bit-identical for any num_threads (slot trajectories are
+// snapshot-pure), so tests compare whole records; wall-clock time stays
+// outside. MilpResult, ScheduleResult and the bench JSON all carry it.
+struct SolveStats : lp::LpEngineStats {
+  int64_t nodes = 0;
+  int64_t lp_iterations = 0;  // cumulative simplex iterations
+  int64_t root_fixings = 0;   // variables fixed by root reduced-cost fixing
+  // Cut rows appended to the working LP (root rounds + barrier commits),
+  // and strong-branch probe solves.
+  int64_t cuts_added = 0;
+  int64_t strong_branches = 0;
+  // Of cuts_added: Gomory rows, and rows later deleted by in-LP aging.
+  int64_t gomory_cuts = 0;
+  int64_t cuts_removed = 0;
+
+  // The one list of counters, as f(name, member pointer). Arithmetic, the
+  // JSON emitter and the size check below are built on it.
+  template <class F>
+  static constexpr void for_each(F&& f) {
+    f("nodes", &SolveStats::nodes);
+    f("lp_iterations", &SolveStats::lp_iterations);
+    f("root_fixings", &SolveStats::root_fixings);
+    f("cuts_added", &SolveStats::cuts_added);
+    f("strong_branches", &SolveStats::strong_branches);
+    f("gomory_cuts", &SolveStats::gomory_cuts);
+    f("cuts_removed", &SolveStats::cuts_removed);
+    f("lp_refactorizations", &SolveStats::lp_refactorizations);
+    f("lp_ft_updates", &SolveStats::lp_ft_updates);
+    f("lp_ft_growth_refactors", &SolveStats::lp_ft_growth_refactors);
+    f("lp_pricing_resets", &SolveStats::lp_pricing_resets);
+  }
+
+  static SolveStats of(const lp::LpEngineStats& engine) {  // engine part only
+    SolveStats s;
+    static_cast<lp::LpEngineStats&>(s) = engine;
+    return s;
+  }
+  SolveStats& operator+=(const SolveStats& o) {
+    for_each([&](const char*, auto m) { this->*m += o.*m; });
+    return *this;
+  }
+  friend SolveStats operator+(SolveStats a, const SolveStats& b) {
+    return a += b;
+  }
+  friend SolveStats operator-(SolveStats a, const SolveStats& b) {
+    for_each([&](const char*, auto m) { a.*m -= b.*m; });
+    return a;
+  }
+  const SolveStats& stats() const { return *this; }  // the record alone
+  bool operator==(const SolveStats&) const = default;
+};
+// A counter declared outside for_each fails here.
+static_assert([] {
+  size_t n = 0;
+  SolveStats::for_each([&n](const char*, auto) { ++n; });
+  return n * sizeof(int64_t) == sizeof(SolveStats);
+}());
+
+// The record as JSON object members, `"nodes": 3, "lp_iterations": 383,
+// ...` in for_each order -- the bench writers' one emitter.
+std::string to_json_fields(const SolveStats& stats);
+// gtest printer: failed record comparisons show the counters.
+void PrintTo(const SolveStats& stats, std::ostream* os);
+
+struct MilpResult : SolveStats {
   MilpStatus status = MilpStatus::kError;
   double objective = lp::kInf;     // incumbent objective
   double best_bound = -lp::kInf;   // global lower bound at termination
   double root_relaxation = lp::kInf;
   std::vector<double> x;           // incumbent (empty if none)
-  int64_t nodes = 0;
-  int64_t lp_iterations = 0;
-  // Variables permanently fixed by root reduced-cost fixing during the
-  // search.
-  int64_t root_fixings = 0;
-  // Cut rows appended to the working LP (root rounds + barrier commits)
-  // and strong-branch probe solves performed. Both are part of the
-  // deterministic search semantics: bit-identical for any num_threads.
-  int64_t cuts_added = 0;
-  int64_t strong_branches = 0;
-  // Of cuts_added: rows from the Gomory separator, and cut rows later
-  // deleted from the working LP by in-LP aging. Deterministic like
-  // cuts_added.
-  int64_t gomory_cuts = 0;
-  int64_t cuts_removed = 0;
-  // LP-engine observability (lp/simplex.h LpEngineStats), summed over
-  // every node/probe/root-round solve of the search. Deterministic for any
-  // num_threads: each slot's engine trajectory is a pure function of its
-  // (snapshot, working LP) inputs.
-  int64_t lp_refactorizations = 0;
-  int64_t lp_ft_updates = 0;
-  int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_pricing_resets = 0;
   double seconds = 0.0;
   PresolveStats presolve;          // zeroed when presolve was disabled
 

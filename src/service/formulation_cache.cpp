@@ -1,7 +1,5 @@
 #include "service/formulation_cache.h"
 
-#include <bit>
-
 namespace checkmate::service {
 
 namespace {
@@ -21,15 +19,7 @@ bool same_problem_content(const RematProblem& a, const RematProblem& b) {
 }  // namespace
 
 size_t FormulationKeyHash::operator()(const FormulationKey& k) const {
-  uint64_t h = k.problem_fingerprint;
-  auto mix = [&h](uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  };
-  mix(static_cast<uint64_t>(k.partitioned));
-  mix(static_cast<uint64_t>(k.eliminate_diag_free) << 1);
-  mix(static_cast<uint64_t>(k.formulation) << 2);
-  if (k.has_cost_cap) mix(std::bit_cast<uint64_t>(k.cost_cap));
-  return static_cast<size_t>(h);
+  return static_cast<size_t>(k.shape.routing_key(k.problem_fingerprint));
 }
 
 FormulationCache::FormulationCache(size_t max_entries)
@@ -38,13 +28,7 @@ FormulationCache::FormulationCache(size_t max_entries)
 std::shared_ptr<CacheEntry> FormulationCache::acquire(
     const RematProblem& problem, const IlpBuildOptions& build, bool* hit,
     int64_t* evictions) {
-  FormulationKey key;
-  key.problem_fingerprint = problem.fingerprint();
-  key.partitioned = build.partitioned;
-  key.eliminate_diag_free = build.eliminate_diag_free;
-  key.formulation = build.formulation;
-  key.has_cost_cap = build.cost_cap.has_value();
-  key.cost_cap = build.cost_cap.value_or(0.0);
+  const FormulationKey key{problem.fingerprint(), store::StoreShape::of(build)};
 
   std::unique_lock lock(mu_);
   auto it = entries_.find(key);

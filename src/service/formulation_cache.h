@@ -29,19 +29,16 @@
 #include "core/remat_problem.h"
 #include "core/solution.h"
 #include "milp/presolve.h"
+#include "store/plan_store.h"
 
 namespace checkmate::service {
 
+// The shape includes the backend (dense vs retention-interval): the two
+// backends build different LPs over different variable layouts, so they
+// can never share a cached formulation or its presolve artifacts.
 struct FormulationKey {
   uint64_t problem_fingerprint = 0;
-  bool partitioned = true;
-  bool eliminate_diag_free = true;
-  // Backend shape (dense vs retention-interval): the two backends build
-  // different LPs over different variable layouts, so they can never share
-  // a cached formulation or its presolve artifacts.
-  IlpFormulationKind formulation = IlpFormulationKind::kDense;
-  bool has_cost_cap = false;
-  double cost_cap = 0.0;
+  store::StoreShape shape;
 
   friend bool operator==(const FormulationKey&,
                          const FormulationKey&) = default;

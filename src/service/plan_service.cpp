@@ -62,18 +62,18 @@ std::optional<ScheduleResult> heuristic_fallback(const RematProblem& problem,
     if (!eval.feasible) return;
     if (!best || eval.cost < best->cost) best = std::move(eval);
   };
-  offer(baselines::checkpoint_all_schedule(problem));
-  using baselines::BaselineKind;
-  for (auto kind : {BaselineKind::kChenSqrtN, BaselineKind::kLinearizedSqrtN,
-                    BaselineKind::kLinearizedGreedy, BaselineKind::kApGreedy}) {
-    for (const auto& bs : baselines::baseline_schedules(problem, kind))
-      offer(bs.solution);
-  }
-  const double headroom = budget_bytes - problem.fixed_overhead;
-  for (double frac : {0.95, 0.85, 0.75, 0.6, 0.45, 0.3, 0.2, 0.12, 0.06, 0.03})
-    offer(baselines::budget_aware_schedule(problem, frac * headroom));
+  baselines::for_each_candidate_schedule(problem, budget_bytes, offer);
   if (best) best->message = "plan service: heuristic fallback";
   return best;
+}
+
+// A served plan's lower bound -- the proven bound, never below the
+// compute-everything-once ideal -- and its relative gap, clamped at >= 0.
+void set_bound_and_gap(PlanOutcome& out, double ideal,
+                       double proven_bound = -lp::kInf) {
+  out.lower_bound = std::max(ideal, proven_bound);
+  out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
+                              std::max(1e-12, out.result.cost));
 }
 
 // Rungs 3-4 of the ladder as a standalone outcome: the cheapest validated
@@ -90,9 +90,7 @@ PlanOutcome heuristic_or_infeasible(const RematProblem& problem,
   if (auto fb = heuristic_fallback(problem, budget_bytes)) {
     out.provenance = PlanProvenance::kHeuristicFallback;
     out.result = std::move(*fb);
-    out.lower_bound = ideal;
-    out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
-                                std::max(1e-12, out.result.cost));
+    set_bound_and_gap(out, ideal);
     out.why_degraded = std::move(degradation);
     return out;
   }
@@ -104,22 +102,10 @@ PlanOutcome heuristic_or_infeasible(const RematProblem& problem,
   return out;
 }
 
-// The formulation-shape half of a store key, mirrored from the query
-// options exactly as FormulationKey builds it.
-store::StoreShape shape_of(const IlpSolveOptions& options) {
-  store::StoreShape shape;
-  shape.partitioned = options.partitioned;
-  shape.eliminate_diag_free = options.eliminate_diag_free;
-  shape.formulation = options.formulation;
-  shape.has_cost_cap = options.cost_cap.has_value();
-  shape.cost_cap = options.cost_cap.value_or(0.0);
-  return shape;
-}
-
-// 64-bit routing key for single-flight: problem fingerprint x shape x
-// budget x gap, splitmix-style. Collisions are possible and harmless --
-// joiners re-verify the canonical blob and the scalar fields before
-// sharing a flight.
+// 64-bit routing key for single-flight: the shape's routing key x budget x
+// gap, splitmix-style. Collisions are possible and harmless -- joiners
+// re-verify the canonical blob and the scalar fields before sharing a
+// flight.
 uint64_t request_key(uint64_t fingerprint, const store::StoreShape& shape,
                      double budget_bytes, double relative_gap) {
   auto mix = [](uint64_t h, uint64_t v) {
@@ -128,13 +114,7 @@ uint64_t request_key(uint64_t fingerprint, const store::StoreShape& shape,
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
   };
-  uint64_t h = fingerprint;
-  h = mix(h, (uint64_t(shape.partitioned) << 2) |
-                 (uint64_t(shape.eliminate_diag_free) << 1) |
-                 uint64_t(shape.has_cost_cap));
-  h = mix(h, static_cast<uint64_t>(shape.formulation));
-  h = mix(h, std::bit_cast<uint64_t>(shape.cost_cap == 0.0 ? 0.0
-                                                           : shape.cost_cap));
+  uint64_t h = shape.routing_key(fingerprint);
   h = mix(h, std::bit_cast<uint64_t>(budget_bytes == 0.0 ? 0.0
                                                          : budget_bytes));
   h = mix(h, std::bit_cast<uint64_t>(relative_gap == 0.0 ? 0.0
@@ -365,7 +345,8 @@ PlanOutcome PlanService::plan_robust(const RematProblem& problem,
   // key. Queries differing only in solver knobs (deadline, threads) still
   // share: followers keep their own deadline while waiting, and the
   // shared outcome is at least as good as what their knobs would buy.
-  const store::StoreShape shape = shape_of(options);
+  const store::StoreShape shape =
+      store::StoreShape::of(build_options(options, budget_bytes));
   std::string blob = problem.serialize_canonical();
   const uint64_t key = request_key(problem.fingerprint(), shape, budget_bytes,
                                    options.relative_gap);
@@ -442,7 +423,8 @@ PlanOutcome PlanService::plan_robust(const RematProblem& problem,
 PlanOutcome PlanService::serve_or_solve(const RematProblem& problem,
                                         double budget_bytes,
                                         const IlpSolveOptions& options) {
-  const store::StoreShape shape = shape_of(options);
+  const store::StoreShape shape =
+      store::StoreShape::of(build_options(options, budget_bytes));
 
   // Store lookup: a hit is byte-verified against this problem's canonical
   // content and simulator re-validated inside the store before it gets
@@ -455,10 +437,8 @@ PlanOutcome PlanService::serve_or_solve(const RematProblem& problem,
       out.memory_floor_bytes = problem.memory_floor();
       out.provenance = PlanProvenance::kProvenOptimal;
       out.result = std::move(*hit);
-      const double ideal = problem.total_cost_all_nodes();
-      out.lower_bound = std::max(ideal, out.result.best_bound);
-      out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
-                                  std::max(1e-12, out.result.cost));
+      set_bound_and_gap(out, problem.total_cost_all_nodes(),
+                        out.result.best_bound);
       std::lock_guard lock(stats_mu_);
       ++stats_.store_hits;
       return out;
@@ -551,16 +531,10 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
     try {
       // plan_robust's floor check already ran, so the query reaches the
       // cache; presolve runs at this budget unless a larger one is cached.
-      IlpBuildOptions build;
-      build.budget_bytes = budget_bytes;
-      build.partitioned = options.partitioned;
-      build.eliminate_diag_free = options.eliminate_diag_free;
-      build.formulation = options.formulation;
-      build.cost_cap = options.cost_cap;
       bool hit = false;
       int64_t evictions = 0;
-      const std::shared_ptr<CacheEntry> entry =
-          cache_.acquire(problem, build, &hit, &evictions);
+      const std::shared_ptr<CacheEntry> entry = cache_.acquire(
+          problem, build_options(options, budget_bytes), &hit, &evictions);
       {
         std::lock_guard lock(stats_mu_);
         ++(hit ? stats_.formulation_hits : stats_.formulation_misses);
@@ -571,9 +545,7 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
           solve_locked(*entry, budget_bytes, options, known_lower_bound);
       if (res.feasible) {
         out.result = std::move(res);
-        out.lower_bound = std::max(ideal, out.result.best_bound);
-        out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
-                                    std::max(1e-12, out.result.cost));
+        set_bound_and_gap(out, ideal, out.result.best_bound);
         if (out.result.milp_status == milp::MilpStatus::kOptimal) {
           out.provenance = PlanProvenance::kProvenOptimal;
         } else {

@@ -88,31 +88,32 @@ std::string hex16(uint64_t v) {
   return buf;
 }
 
+}  // namespace
+
 // Payload layout (version 1); the header wraps it with magic/version/
 // length/checksum. Field order is part of the format: changing it bumps
 // kPlanStoreFormatVersion.
-std::string encode_payload(uint64_t fingerprint, const StoreShape& shape,
-                           const std::string& problem_blob,
-                           double solved_budget, double relative_gap,
-                           double cost, double best_bound, double peak_bytes,
-                           const RematSolution& sol) {
+std::string PlanStore::encode(uint64_t fingerprint, const Record& rec) {
+  const StoreShape& shape = rec.shape;
+  const RematSolution& sol = rec.solution;
   Writer w;
   const size_t stages = sol.R.size();
   const size_t nodes = stages == 0 ? 0 : sol.R[0].size();
-  w.out.reserve(kHeaderBytes + 64 + problem_blob.size() + 2 * stages * nodes);
+  w.out.reserve(kHeaderBytes + 64 + rec.problem_blob.size() +
+                2 * stages * nodes);
   w.u64(fingerprint);
   w.u8(shape.partitioned ? 1 : 0);
   w.u8(shape.eliminate_diag_free ? 1 : 0);
   w.u8(shape.has_cost_cap ? 1 : 0);
   w.u8(static_cast<uint8_t>(shape.formulation));
   w.f64(shape.cost_cap);
-  w.f64(solved_budget);
-  w.f64(relative_gap);
-  w.f64(cost);
-  w.f64(best_bound);
-  w.f64(peak_bytes);
-  w.u64(problem_blob.size());
-  w.bytes(problem_blob);
+  w.f64(rec.solved_budget);
+  w.f64(rec.relative_gap);
+  w.f64(rec.cost);
+  w.f64(rec.best_bound);
+  w.f64(rec.peak_bytes);
+  w.u64(rec.problem_blob.size());
+  w.bytes(rec.problem_blob);
   w.u32(static_cast<uint32_t>(stages));
   w.u32(static_cast<uint32_t>(nodes));
   for (const auto& row : sol.R)
@@ -122,18 +123,10 @@ std::string encode_payload(uint64_t fingerprint, const StoreShape& shape,
   return std::move(w.out);
 }
 
-struct DecodedRecord {
-  uint64_t fingerprint = 0;
-  StoreShape shape;
-  std::string problem_blob;
-  double solved_budget = 0.0, relative_gap = 0.0;
-  double cost = 0.0, best_bound = 0.0, peak_bytes = 0.0;
-  RematSolution solution;
-};
-
-bool decode_payload(std::string_view payload, DecodedRecord* out) {
+bool PlanStore::decode(std::string_view payload, uint64_t* fingerprint,
+                       Record* out) {
   Reader r{payload};
-  out->fingerprint = r.u64();
+  *fingerprint = r.u64();
   out->shape.partitioned = r.u8() != 0;
   out->shape.eliminate_diag_free = r.u8() != 0;
   out->shape.has_cost_cap = r.u8() != 0;
@@ -172,6 +165,8 @@ bool decode_payload(std::string_view payload, DecodedRecord* out) {
     return false;
   return true;
 }
+
+namespace {
 
 // Atomic, durable record write: temp file in the same directory -> fsync
 // -> rename -> directory fsync. Returns false (leaving no temp debris)
@@ -229,16 +224,15 @@ void quarantine_file(const std::string& path) {
 
 }  // namespace
 
-uint64_t PlanStore::index_key(uint64_t fingerprint,
-                              const StoreShape& shape) const {
+uint64_t StoreShape::routing_key(uint64_t fingerprint) const {
   uint64_t h = fingerprint;
   auto mix = [&h](uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
-  mix(shape.partitioned ? 1 : 2);
-  mix(shape.eliminate_diag_free ? 1 : 2);
-  mix(static_cast<uint64_t>(shape.formulation) + 3);
-  mix(shape.has_cost_cap ? std::bit_cast<uint64_t>(shape.cost_cap) : 5);
+  mix(partitioned ? 1 : 2);
+  mix(eliminate_diag_free ? 1 : 2);
+  mix(static_cast<uint64_t>(formulation) + 3);
+  mix(has_cost_cap ? std::bit_cast<uint64_t>(cost_cap) : 5);
   return h;
 }
 
@@ -269,7 +263,8 @@ PlanStore::PlanStore(std::string directory) : dir_(std::move(directory)) {
       bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
 
     bool valid = false;
-    DecodedRecord dec;
+    uint64_t fingerprint = 0;
+    Record rec;
     if (bytes.size() >= kHeaderBytes) {
       Reader r{bytes};
       const uint32_t magic = r.u32();
@@ -280,7 +275,8 @@ PlanStore::PlanStore(std::string directory) : dir_(std::move(directory)) {
           bytes.size() - kHeaderBytes == payload_size) {
         const std::string_view payload(bytes.data() + kHeaderBytes,
                                        payload_size);
-        if (checksum64(payload) == sum) valid = decode_payload(payload, &dec);
+        if (checksum64(payload) == sum)
+          valid = decode(payload, &fingerprint, &rec);
       }
     }
     if (!valid) {
@@ -288,18 +284,9 @@ PlanStore::PlanStore(std::string directory) : dir_(std::move(directory)) {
       ++stats_.load_quarantines;
       continue;
     }
-    Record rec;
-    rec.problem_blob = std::move(dec.problem_blob);
-    rec.shape = dec.shape;
-    rec.solved_budget = dec.solved_budget;
-    rec.relative_gap = dec.relative_gap;
-    rec.cost = dec.cost;
-    rec.best_bound = dec.best_bound;
-    rec.peak_bytes = dec.peak_bytes;
-    rec.solution = std::move(dec.solution);
     rec.path = path;
     rec.validated = false;  // earns simulator validation on first use
-    index_[index_key(dec.fingerprint, dec.shape)].push_back(std::move(rec));
+    index_[rec.shape.routing_key(fingerprint)].push_back(std::move(rec));
     ++stats_.records_loaded;
   }
 }
@@ -320,7 +307,7 @@ std::optional<ScheduleResult> PlanStore::lookup(const RematProblem& problem,
                                                 double* staircase_bound_out) {
   if (staircase_bound_out) *staircase_bound_out = kNegInf;
   const std::string blob = problem.serialize_canonical();
-  const uint64_t key = index_key(problem.fingerprint(), shape);
+  const uint64_t key = shape.routing_key(problem.fingerprint());
   const double ideal = problem.total_cost_all_nodes();
 
   std::lock_guard lock(mu_);
@@ -411,7 +398,7 @@ bool PlanStore::put(const RematProblem& problem, const StoreShape& shape,
   if (!result.feasible) return false;
   const std::string blob = problem.serialize_canonical();
   const uint64_t fingerprint = problem.fingerprint();
-  const uint64_t key = index_key(fingerprint, shape);
+  const uint64_t key = shape.routing_key(fingerprint);
 
   std::lock_guard lock(mu_);
   auto& records = index_[key];
@@ -439,10 +426,7 @@ bool PlanStore::put(const RematProblem& problem, const StoreShape& shape,
   rec.solution = result.solution;
   rec.validated = true;  // born from a live, simulator-validated solve
 
-  const std::string payload =
-      encode_payload(fingerprint, shape, blob, solved_budget_bytes,
-                     relative_gap, rec.cost, rec.best_bound, rec.peak_bytes,
-                     rec.solution);
+  const std::string payload = encode(fingerprint, rec);
   Writer header;
   header.u32(kMagic);
   header.u32(kPlanStoreFormatVersion);

@@ -46,6 +46,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -59,13 +60,27 @@ namespace checkmate::store {
 inline constexpr uint32_t kPlanStoreFormatVersion = 1;
 
 // The formulation-shape half of a record key (the problem half is the
-// canonical blob). Mirrors service::FormulationKey minus the fingerprint.
+// canonical blob): the IlpBuildOptions a formulation is built from, its
+// budget aside. service::FormulationKey pairs it with the fingerprint.
 struct StoreShape {
   bool partitioned = true;
   bool eliminate_diag_free = true;
   IlpFormulationKind formulation = IlpFormulationKind::kDense;
   bool has_cost_cap = false;
   double cost_cap = 0.0;
+
+  static StoreShape of(const IlpBuildOptions& build) {
+    return {.partitioned = build.partitioned,
+            .eliminate_diag_free = build.eliminate_diag_free,
+            .formulation = build.formulation,
+            .has_cost_cap = build.cost_cap.has_value(),
+            .cost_cap = build.cost_cap.value_or(0.0)};
+  }
+
+  // 64-bit routing hash of (problem fingerprint, this shape) for the
+  // store index, the formulation cache and single-flight. Collisions are
+  // harmless: every user re-checks full content on a hit.
+  uint64_t routing_key(uint64_t fingerprint) const;
 
   friend bool operator==(const StoreShape&, const StoreShape&) = default;
 };
@@ -138,13 +153,17 @@ class PlanStore {
     bool validated = false;
   };
 
-  // fingerprint+shape -> records, newest last. The 64-bit key only routes;
-  // every use re-checks problem_blob and shape.
-  uint64_t index_key(uint64_t fingerprint, const StoreShape& shape) const;
+  // The record payload codec (layout in plan_store.cpp). decode() fills
+  // the persisted fields of `out` and rejects malformed payloads.
+  static std::string encode(uint64_t fingerprint, const Record& rec);
+  static bool decode(std::string_view payload, uint64_t* fingerprint,
+                     Record* out);
   void quarantine_locked(uint64_t key, size_t idx, const char* why);
 
   std::string dir_;
   mutable std::mutex mu_;
+  // StoreShape::routing_key -> records, newest last. The key only routes;
+  // every use re-checks problem_blob and shape.
   std::unordered_map<uint64_t, std::vector<Record>> index_;
   StoreStats stats_;
 };

@@ -243,8 +243,9 @@ TEST_F(ChaosFaults, DiskFaultSchedulesEndInServedOutcomes) {
                                 schedule_name(s) + " boot" +
                                     std::to_string(boot) + " budget#" +
                                     std::to_string(i));
-        if (budgets[i] >= p.memory_floor())
+        if (budgets[i] >= p.memory_floor()) {
           EXPECT_NE(outcomes[i].provenance, PlanProvenance::kInfeasible);
+        }
       }
     }
   }
@@ -274,8 +275,9 @@ TEST_F(ChaosFaults, DiskAndSolverFaultsComposeUnderDeadline) {
       assert_outcome_contract(p, budgets[i], outcomes[i],
                               "compose boot" + std::to_string(boot) +
                                   " budget#" + std::to_string(i));
-      if (budgets[i] >= p.memory_floor())
+      if (budgets[i] >= p.memory_floor()) {
         EXPECT_NE(outcomes[i].provenance, PlanProvenance::kInfeasible);
+      }
     }
   }
 }

@@ -7,8 +7,10 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <random>
+#include <string>
 
 namespace checkmate::milp {
 namespace {
@@ -27,6 +29,58 @@ MilpOptions bounded(double time_limit_sec = 30.0) {
   MilpOptions opts;
   opts.time_limit_sec = time_limit_sec;
   return opts;
+}
+
+// Fills every counter the visitor lists with a distinct nonzero value.
+SolveStats distinct_stats(int64_t scale) {
+  SolveStats s;
+  int64_t v = 0;
+  SolveStats::for_each([&](const char*, auto m) { s.*m = scale * ++v; });
+  return s;
+}
+
+TEST(SolveStats, VisitorCoversEveryField) {
+  // Every 8-byte word of the record was written through for_each: a
+  // counter declared outside the visitor would still read zero here.
+  const SolveStats s = distinct_stats(1);
+  int64_t words[sizeof(SolveStats) / sizeof(int64_t)];
+  std::memcpy(words, &s, sizeof s);
+  for (int64_t w : words) EXPECT_NE(w, 0);
+  size_t visited = 0;
+  SolveStats::for_each([&](const char*, auto) { ++visited; });
+  EXPECT_EQ(visited, sizeof words / sizeof words[0]);
+  // Equality sees every field.
+  SolveStats::for_each([&](const char* name, auto m) {
+    SolveStats t = s;
+    t.*m += 1;
+    EXPECT_NE(t, s) << name;
+  });
+}
+
+TEST(SolveStats, ArithmeticAndJsonFollowTheVisitor) {
+  const SolveStats a = distinct_stats(1), b = distinct_stats(1000);
+  EXPECT_EQ((a + b) - b, a);
+  EXPECT_EQ(a - a, SolveStats{});
+  SolveStats sum = a;
+  sum += b;
+  EXPECT_EQ(sum.nodes, a.nodes + b.nodes);
+  EXPECT_EQ(sum.lp_pricing_resets, a.lp_pricing_resets + b.lp_pricing_resets);
+  // The engine counters alone, from an lp::LpEngineStats.
+  lp::LpEngineStats engine;
+  engine.lp_ft_updates = 7;
+  SolveStats only_engine;
+  only_engine.lp_ft_updates = 7;
+  EXPECT_EQ(SolveStats::of(engine), only_engine);
+  // The JSON emitter names every counter with its value, in visitor order.
+  const std::string json = to_json_fields(a);
+  size_t pos = 0;
+  SolveStats::for_each([&](const char* name, auto m) {
+    const std::string member =
+        std::string("\"") + name + "\": " + std::to_string(a.*m);
+    const size_t at = json.find(member, pos);
+    ASSERT_NE(at, std::string::npos) << member << " in " << json;
+    pos = at + member.size();
+  });
 }
 
 TEST(Milp, PureLpPassThrough) {

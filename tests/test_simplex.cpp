@@ -633,7 +633,7 @@ TEST(DualSimplex, ForrestTomlinMatchesDenseReference) {
   ASSERT_EQ(dense.status, LpStatus::kOptimal);
   EXPECT_NEAR(res.objective, dense.objective, 1e-6);
   EXPECT_LE(lp.max_violation(res.x), 1e-6);
-  EXPECT_GT(engine.stats().ft_updates, 0);
+  EXPECT_GT(engine.stats().lp_ft_updates, 0);
 }
 
 TEST(DualSimplex, ForrestTomlinAgreesOnRandomCorpus) {
@@ -667,7 +667,7 @@ TEST(DualSimplex, ForrestTomlinAgreesOnRandomCorpus) {
     DualSimplex engine(lp);
     auto ra = engine.solve();
     auto rb = solve_dense_reference(lp);
-    ft_updates += engine.stats().ft_updates;
+    ft_updates += engine.stats().lp_ft_updates;
     ASSERT_EQ(ra.status, rb.status) << "trial " << trial;
     if (ra.status == LpStatus::kOptimal) {
       ++optimal_count;
